@@ -1,11 +1,12 @@
 //! Task contexts: spawning, synchronisation, fork-join and data access.
 //!
-//! [`RawCtx`] is the lifetime-free internal context one worker uses while
-//! executing one task (or a scope root). [`Ctx<'scope>`] is the public,
-//! lifetime-branded wrapper handed to user closures — the invariant
-//! `'scope` parameter is the rayon-style brand that makes environment
-//! borrows sound: every task spawned through a `Ctx<'scope>` completes
-//! before the function that introduced `'scope` returns.
+//! [`RawCtx`] is the internal context one worker uses while executing one
+//! task (or a scope root); it borrows the runtime rather than holding a
+//! reference count on it. [`Ctx<'scope>`] is the public, lifetime-branded
+//! wrapper handed to user closures — the invariant `'scope` parameter is
+//! the rayon-style brand that makes environment borrows sound: every task
+//! spawned through a `Ctx<'scope>` completes before the function that
+//! introduced `'scope` returns.
 //!
 //! Execution follows the paper's model: spawns are non-blocking pushes into
 //! the current frame; at a sync (explicit or the implicit one when a task
@@ -28,9 +29,17 @@ use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-/// Internal, lifetime-free execution context of one worker running one task.
-pub struct RawCtx {
-    pub(crate) rt: Arc<RtInner>,
+/// Internal execution context of one worker running one task.
+///
+/// The runtime is *borrowed* for `'rt`: every `RawCtx` is built on a
+/// thread that holds an `Arc<RtInner>` for the context's whole life (a
+/// pool worker, a track thread, or a caller holding the `Runtime`), so
+/// creating and dropping contexts — once per join, per task body, per
+/// scope — never touches the runtime's shared strong count, whose cache
+/// line every worker reads (`DESIGN.md` §6). Code that must outlive the
+/// context (spawned closures, track engines) clones the `Arc` explicitly.
+pub struct RawCtx<'rt> {
+    pub(crate) rt: &'rt Arc<RtInner>,
     pub(crate) widx: usize,
     /// Child frame, created lazily on the first spawn.
     frame: Option<Arc<Frame>>,
@@ -47,8 +56,8 @@ pub struct RawCtx {
     pub(crate) detached: bool,
 }
 
-impl RawCtx {
-    pub(crate) fn new(rt: Arc<RtInner>, widx: usize) -> RawCtx {
+impl<'rt> RawCtx<'rt> {
+    pub(crate) fn new(rt: &'rt Arc<RtInner>, widx: usize) -> RawCtx<'rt> {
         RawCtx {
             rt,
             widx,
@@ -142,7 +151,7 @@ impl RawCtx {
         if self.rt.queue.centralized() {
             // Insertion-time scheduling: ready tasks go straight to the
             // shared queue (QUARK/libGOMP model), even with one worker.
-            crate::steal::publish_ready(&self.rt, self.widx, &frame);
+            crate::steal::publish_ready(self.rt, self.widx, &frame);
         }
         if self.rt.num_workers() > 1 {
             self.rt.signal_work();
@@ -157,7 +166,7 @@ impl RawCtx {
         let Some(frame) = self.frame.as_ref().map(Arc::clone) else {
             return;
         };
-        let rt = Arc::clone(&self.rt);
+        let rt = self.rt;
         let widx = self.widx;
         // Task lookups are batched: once sync starts the owner pushes no
         // more children into this frame (task bodies run on fresh frames),
@@ -186,7 +195,7 @@ impl RawCtx {
                 if t.try_claim(ST_OWNER) {
                     frame.advance_cursor();
                     WorkerStats::bump(&rt.workers[widx].stats.tasks_executed_own, 1);
-                    execute_claimed(&rt, widx, &frame, i, Arc::clone(&t));
+                    execute_claimed(rt, widx, &frame, i, Arc::clone(&t));
                     // Track-routed tasks (`DESIGN.md` §10) come back from
                     // execute_claimed dispatched but not done — their body
                     // runs when the engine's completion drains. The owner
@@ -200,7 +209,7 @@ impl RawCtx {
                         if self.detached {
                             wait_detached(|| t.is_done());
                         } else {
-                            help_until(&rt, widx, Some(&frame), || t.is_done());
+                            help_until(rt, widx, Some(&frame), || t.is_done());
                         }
                     }
                 } else if t.state() == ST_DONE {
@@ -210,7 +219,7 @@ impl RawCtx {
                     if self.detached {
                         wait_detached(|| t.is_done());
                     } else {
-                        help_until(&rt, widx, Some(&frame), || t.is_done());
+                        help_until(rt, widx, Some(&frame), || t.is_done());
                     }
                     frame.advance_cursor();
                 }
@@ -221,7 +230,7 @@ impl RawCtx {
                 wait_detached(|| frame.pending() == 0);
             } else {
                 // All claimed, some still running on thieves.
-                help_until(&rt, widx, Some(&frame), || frame.pending() == 0);
+                help_until(rt, widx, Some(&frame), || frame.pending() == 0);
             }
         }
         if let Some(p) = frame.take_panic() {
@@ -262,10 +271,7 @@ impl RawCtx {
         F: FnOnce(&mut Ctx<'scope>) -> R,
     {
         let body = catch_unwind(AssertUnwindSafe(|| {
-            let mut ctx = Ctx {
-                raw: self,
-                _inv: PhantomData,
-            };
+            let mut ctx = Ctx::wrap(self);
             f(&mut ctx)
         }));
         let fin = catch_unwind(AssertUnwindSafe(|| self.finish()));
@@ -361,7 +367,7 @@ pub(crate) fn run_claimed_body(
         return;
     }
     let body = task.take_body();
-    let mut raw = RawCtx::new(Arc::clone(rt), widx);
+    let mut raw = RawCtx::new(rt, widx);
     raw.cancel = task.attrs.cancel.clone();
     raw.cur = Some(Arc::clone(&task));
     // Traced task span (`DESIGN.md` §9): B/E pair around the body plus
@@ -521,26 +527,42 @@ pub(crate) fn help_until(
 /// this context: all of them complete before the scope that introduced
 /// `'scope` returns, so they may borrow anything that outlives the scope.
 pub struct Ctx<'scope> {
-    raw: *mut RawCtx,
+    /// The context's runtime borrow is erased to `'static` here and handed
+    /// back shortened to the `Ctx` borrow by the accessors: a `Ctx` never
+    /// outlives the call that received it, which runs inside the
+    /// `RawCtx`'s own life.
+    raw: *mut RawCtx<'static>,
     _inv: PhantomData<fn(&'scope ()) -> &'scope ()>,
 }
 
 impl<'scope> Ctx<'scope> {
+    /// Wrap `raw` for the duration of one user-closure call.
     #[inline]
-    fn raw(&self) -> &RawCtx {
+    fn wrap(raw: &mut RawCtx<'_>) -> Ctx<'scope> {
+        Ctx {
+            raw: (raw as *mut RawCtx<'_>).cast(),
+            _inv: PhantomData,
+        }
+    }
+
+    #[inline]
+    fn raw(&self) -> &RawCtx<'_> {
         // Safety: `Ctx` only exists while the `RawCtx` it was created from
         // is alive and uniquely borrowed by this chain of calls.
         unsafe { &*self.raw }
     }
 
     #[inline]
-    fn raw_mut(&mut self) -> &mut RawCtx {
-        unsafe { &mut *self.raw }
+    fn raw_mut(&mut self) -> &mut RawCtx<'_> {
+        // Safety: as in `raw`, and `&mut self` makes the borrow unique. The
+        // shortened runtime lifetime is within the real one, and nothing
+        // stores a runtime reference through this borrow.
+        unsafe { &mut *self.raw.cast() }
     }
 
     /// Internal accessor for sibling modules (`foreach`).
     #[inline]
-    pub(crate) fn as_raw(&self) -> &RawCtx {
+    pub(crate) fn as_raw(&self) -> &RawCtx<'_> {
         self.raw()
     }
 
@@ -606,10 +628,7 @@ impl<'scope> Ctx<'scope> {
         F: FnOnce(&mut Ctx<'scope>) + Send + 'scope,
     {
         let body: Box<dyn FnOnce(&mut RawCtx) + Send + 'scope> = Box::new(move |raw| {
-            let mut ctx = Ctx {
-                raw,
-                _inv: PhantomData,
-            };
+            let mut ctx = Ctx::wrap(raw);
             f(&mut ctx)
         });
         // Safety: 'scope outlives the moment the scope's sync completes, and
@@ -627,10 +646,7 @@ impl<'scope> Ctx<'scope> {
         F: FnOnce(&mut Ctx<'scope>) + Send + 'scope,
     {
         let body: Box<dyn FnOnce(&mut RawCtx) + Send + 'scope> = Box::new(move |raw| {
-            let mut ctx = Ctx {
-                raw,
-                _inv: PhantomData,
-            };
+            let mut ctx = Ctx::wrap(raw);
             f(&mut ctx)
         });
         // Safety: same as `spawn_with` — the scope's sync outlives 'scope.
@@ -678,16 +694,14 @@ impl<'scope> Ctx<'scope> {
             // the real owner may be pushing concurrently — so the pair
             // runs sequentially inline, `fb` in a fresh scope like the
             // stolen path would give it.
-            let (rt, widx) = {
-                let raw = self.raw();
-                (Arc::clone(&raw.rt), raw.widx)
-            };
             if !attrs.is_default() {
-                WorkerStats::bump(&rt.workers[widx].stats.tasks_with_attrs, 1);
+                let raw = self.raw();
+                WorkerStats::bump(&raw.rt.workers[raw.widx].stats.tasks_with_attrs, 1);
             }
             let ra = catch_unwind(AssertUnwindSafe(|| fa(self)));
             let rb = catch_unwind(AssertUnwindSafe(|| {
-                let mut sub = RawCtx::new(Arc::clone(&rt), widx);
+                let raw = self.raw();
+                let mut sub = RawCtx::new(raw.rt, raw.widx);
                 sub.run_scoped(fb)
             }));
             match (ra, rb) {
@@ -712,7 +726,7 @@ impl<'scope> Ctx<'scope> {
         {
             let job = unsafe { &*(data as *const StackJob<F, R>) };
             let f = unsafe { (*job.f.get()).take().expect("fast job run twice") };
-            let mut raw = RawCtx::new(Arc::clone(rt), widx);
+            let mut raw = RawCtx::new(rt, widx);
             let run = catch_unwind(AssertUnwindSafe(|| {
                 #[cfg(feature = "fault-injection")]
                 crate::fault::on_task_execute(rt);
@@ -734,9 +748,11 @@ impl<'scope> Ctx<'scope> {
             }
         }
 
+        // The runtime is borrowed: its shared strong count must stay off
+        // the fast lane (`DESIGN.md` §6).
         let (rt, widx) = {
             let raw = self.raw();
-            (Arc::clone(&raw.rt), raw.widx)
+            (raw.rt, raw.widx)
         };
         if !attrs.is_default() {
             WorkerStats::bump(&rt.workers[widx].stats.tasks_with_attrs, 1);
@@ -744,10 +760,7 @@ impl<'scope> Ctx<'scope> {
         // Wrap `fb` into a lifetime-free signature ('scope is in scope here;
         // the record never outlives this call, see the safety note above).
         let fb_raw = move |raw: &mut RawCtx| -> RB {
-            let mut ctx = Ctx {
-                raw,
-                _inv: PhantomData,
-            };
+            let mut ctx = Ctx::wrap(raw);
             fb(&mut ctx)
         };
         let job = StackJob {
@@ -783,23 +796,24 @@ impl<'scope> Ctx<'scope> {
         // Continuation; even if it panics the job must retire first (it
         // points into this stack frame).
         let ra = catch_unwind(AssertUnwindSafe(|| fa(self)));
+        let rt = self.raw().rt; // re-borrowed: `fa` needed `self` mutably
         if pushed {
             if let Some(mine) = rt.queue.take(widx, jref.data) {
                 WorkerStats::bump(&rt.workers[widx].stats.tasks_executed_own, 1);
                 match mine.into_grab() {
-                    crate::steal::Grab::Fast(job) => unsafe { job.execute(&rt, widx) },
+                    crate::steal::Grab::Fast(job) => unsafe { job.execute(rt, widx) },
                     _ => unreachable!("take returned a non-fork-join item"),
                 }
             } else {
                 // Taken by another worker (or consumed while helping): work
                 // as a thief until it completes.
-                help_until(&rt, widx, None, || {
+                help_until(rt, widx, None, || {
                     job.state.load(std::sync::atomic::Ordering::Acquire) != J_PENDING
                 });
             }
         } else {
             // Queue refused the job (lane full): undeferred execution.
-            unsafe { jref.execute(&rt, widx) };
+            unsafe { jref.execute(rt, widx) };
         }
         let ra = match ra {
             Ok(v) => v,
@@ -828,8 +842,8 @@ impl<'scope> Ctx<'scope> {
         F: FnOnce(&mut Ctx<'nested>) -> R + Send,
         R: Send,
     {
-        let raw = self.raw_mut();
-        let mut sub = RawCtx::new(Arc::clone(&raw.rt), raw.widx);
+        let raw = self.raw();
+        let mut sub = RawCtx::new(raw.rt, raw.widx);
         sub.run_scoped(f)
     }
 

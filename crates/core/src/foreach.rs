@@ -325,9 +325,9 @@ impl<'scope> Ctx<'scope> {
             if attrs.cancel.is_none() {
                 attrs.cancel = raw.cancel.clone();
             }
-            (Arc::clone(&raw.rt), raw.widx)
+            (raw.rt, raw.widx)
         };
-        foreach_run(&rt, widx, range, grain, attrs, body);
+        foreach_run(rt, widx, range, grain, attrs, body);
     }
 
     /// Parallel reduction: fold every index into per-worker accumulators,

@@ -902,7 +902,7 @@ where
         if deadline.is_some_and(|d| Instant::now() >= d) {
             raw.rt.inject.note_expired();
             // Shed instant, arg 0 = deadline expiry (telemetry layer).
-            crate::telemetry::emit_current(&raw.rt, raw.widx, EventKind::Shed, 0, 0);
+            crate::telemetry::emit_current(raw.rt, raw.widx, EventKind::Shed, 0, 0);
             guard.state.complete(Err(Box::new(SubmitError::Expired)));
             drop(guard);
             return;
@@ -910,7 +910,7 @@ where
         if cancel.as_ref().is_some_and(|t| t.is_cancelled()) {
             WorkerStats::bump(&raw.rt.workers[raw.widx].stats.tasks_cancelled, 1);
             // Shed instant, arg 1 = cancelled before start.
-            crate::telemetry::emit_current(&raw.rt, raw.widx, EventKind::Shed, 0, 1);
+            crate::telemetry::emit_current(raw.rt, raw.widx, EventKind::Shed, 0, 1);
             guard.state.complete(Err(Box::new(SubmitError::Cancelled)));
             drop(guard);
             return;

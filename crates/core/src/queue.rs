@@ -39,6 +39,7 @@ use crate::fastlane::{FastJob, FastLane};
 use crate::frame::Frame;
 use crate::steal::Grab;
 use crate::task::Task;
+use crossbeam_utils::CachePadded;
 use parking_lot::Mutex;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -295,15 +296,22 @@ impl BandedLane {
 /// the lane lock — the paper's fast lane, bit-for-bit the pre-band
 /// behaviour. High/low bands ride per-worker side deques consulted before/
 /// after the fast lane.
+///
+/// Each lane is cache-padded: the owner writes its T.H.E. `tail` and
+/// `side_jobs` on every push and pop, so a packed array (about 144 B per
+/// lane) would bounce a line between neighbouring workers' fast lanes
+/// (`DESIGN.md` §6).
 pub struct DistributedLanes {
-    lanes: Box<[BandedLane]>,
+    lanes: Box<[CachePadded<BandedLane>]>,
 }
 
 impl DistributedLanes {
     /// One lane per worker.
     pub fn new(workers: usize) -> DistributedLanes {
         DistributedLanes {
-            lanes: (0..workers).map(|_| BandedLane::new()).collect(),
+            lanes: (0..workers)
+                .map(|_| CachePadded::new(BandedLane::new()))
+                .collect(),
         }
     }
 }
@@ -455,6 +463,29 @@ mod tests {
         // Owner takes LIFO.
         let own = q.pop(0).unwrap();
         assert_eq!(own.token() as usize, 2);
+    }
+
+    #[test]
+    fn adjacent_lanes_never_share_a_cache_line() {
+        // A packed lane is ~144 B, so a 128 B stride alone would not prove
+        // padding: each lane must also start on its own 128 B boundary.
+        let q = DistributedLanes::new(4);
+        let starts: Vec<usize> = q
+            .lanes
+            .iter()
+            .map(|l| &**l as *const BandedLane as usize)
+            .collect();
+        for w in starts.windows(2) {
+            assert!(
+                w[1] - w[0] >= 128,
+                "lanes {:#x} and {:#x} too close",
+                w[0],
+                w[1]
+            );
+        }
+        for s in starts {
+            assert_eq!(s % 128, 0, "lane at {s:#x} straddles a 128 B block");
+        }
     }
 
     #[test]

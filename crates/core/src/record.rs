@@ -720,7 +720,7 @@ fn spawn_group<'s>(run: &Arc<ReplayRun>, ctx: &mut Ctx<'s>, gi: u32) {
             let raw = t.as_raw();
             let widx = raw.widx;
             crate::telemetry::emit_current(
-                &raw.rt,
+                raw.rt,
                 widx,
                 crate::telemetry::EventKind::ReplayGroup,
                 g.attrs.band(),

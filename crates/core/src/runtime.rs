@@ -715,7 +715,7 @@ impl Runtime {
                 crate::stats::WorkerStats::bump(&self.inner.workers[widx].stats.tasks_cancelled, 1);
                 state.complete(Err(Box::new(SubmitError::Cancelled)));
             } else {
-                let mut raw = RawCtx::new(Arc::clone(&self.inner), widx);
+                let mut raw = RawCtx::new(&self.inner, widx);
                 raw.cancel = Some(token.clone());
                 state.complete(raw.run_scoped_catch(f));
             }
@@ -753,7 +753,7 @@ impl Runtime {
     {
         if let Some(widx) = current_worker_of(&self.inner) {
             // Already on a worker of this pool: run inline with a fresh frame.
-            let mut raw = RawCtx::new(Arc::clone(&self.inner), widx);
+            let mut raw = RawCtx::new(&self.inner, widx);
             return raw.run_scoped(f);
         }
         let state = Arc::new(JoinState::<R>::new());

@@ -142,6 +142,71 @@ fn join_computes_fib() {
     assert_eq!(v, 6765);
 }
 
+/// Strong count of the runtime `Arc`, read from inside a task.
+fn rt_strong_count(ctx: &Ctx<'_>) -> usize {
+    Arc::strong_count(ctx.as_raw().rt)
+}
+
+/// A full binary `join` tree of `depth` levels; every leaf checks that the
+/// runtime's strong count is still `entry` (joins borrow the runtime).
+fn join_tree_checking_count(ctx: &mut Ctx<'_>, depth: u32, entry: usize) -> u64 {
+    if depth == 0 {
+        assert_eq!(rt_strong_count(ctx), entry, "a join refcounted the runtime");
+        return 1;
+    }
+    let (a, b) = ctx.join(
+        |c| join_tree_checking_count(c, depth - 1, entry),
+        |c| join_tree_checking_count(c, depth - 1, entry),
+    );
+    a + b
+}
+
+#[test]
+fn nested_join_leaves_see_the_scope_entry_strong_count() {
+    let rt = rt(1);
+    let leaves = rt.scope(|ctx| {
+        let entry = rt_strong_count(ctx);
+        join_tree_checking_count(ctx, 8, entry)
+    });
+    assert_eq!(leaves, 1 << 8);
+}
+
+#[test]
+fn stolen_join_branch_sees_the_scope_entry_strong_count() {
+    use std::sync::atomic::AtomicBool;
+    use std::time::{Duration, Instant};
+    let rt = rt(2);
+    let started = AtomicBool::new(false);
+    let (owner, entry, (thief, seen, leaves)) = rt.scope(|ctx| {
+        let entry = rt_strong_count(ctx);
+        let owner = ctx.worker_index();
+        let (_, stolen) = ctx.join(
+            // Latch: the inline branch holds the owner until the forked
+            // branch started elsewhere, so it can only run on the thief.
+            |_| {
+                let deadline = Instant::now() + Duration::from_secs(10);
+                while !started.load(Ordering::Acquire) {
+                    assert!(Instant::now() < deadline, "forked branch never stolen");
+                    std::thread::yield_now();
+                }
+            },
+            |c| {
+                started.store(true, Ordering::Release);
+                let seen = rt_strong_count(c);
+                let leaves = join_tree_checking_count(c, 6, entry);
+                (c.worker_index(), seen, leaves)
+            },
+        );
+        (owner, entry, stolen)
+    });
+    assert_ne!(
+        owner, thief,
+        "the forked branch must run on the other worker"
+    );
+    assert_eq!(seen, entry, "the stolen branch refcounted the runtime");
+    assert_eq!(leaves, 1 << 6);
+}
+
 #[test]
 fn join_borrows_locals() {
     let rt = rt(2);

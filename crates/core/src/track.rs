@@ -420,14 +420,13 @@ impl OffloadEngine {
         // bare: it must never unwind. `run_claimed_body` catches
         // internally; the prefailed arm only drops the unused body.
         let run = Box::new(move |raw: &mut RawCtx| {
-            let rt = Arc::clone(&raw.rt);
-            let widx = raw.widx;
+            let (rt, widx) = (raw.rt, raw.widx);
             if prefailed {
                 let _ = catch_unwind(AssertUnwindSafe(|| drop(task.take_body())));
                 WorkerStats::bump(&rt.workers[widx].stats.tasks_poisoned, 1);
-                complete_and_publish(&rt, widx, &frame, idx, &task);
+                complete_and_publish(rt, widx, &frame, idx, &task);
             } else {
-                run_claimed_body(&rt, widx, &frame, idx, Arc::clone(&task));
+                run_claimed_body(rt, widx, &frame, idx, Arc::clone(&task));
             }
             let eng = &rt.tracks.offload;
             WorkerStats::bump(&eng.stats.offload_completions, 1);
@@ -651,7 +650,7 @@ fn io_main(rt: Arc<RtInner>, k: usize) {
                 run_claimed_body(&rt, widx, &t.frame, t.idx, t.task);
             }
             IoWork::Job(job) => {
-                let mut raw = RawCtx::new(Arc::clone(&rt), widx);
+                let mut raw = RawCtx::new(&rt, widx);
                 if tracing {
                     let band = job.band.min(PRIORITY_BANDS as u8 - 1);
                     let t0 = telemetry::tick();

@@ -2,20 +2,18 @@
 //!
 //! Two levels:
 //!
-//! 1. **Deterministic**: [`StealPolicy::choose_victim`] is a pure function
+//! 1. **Per pick**: [`StealPolicy::choose_victim`] is a pure function
 //!    of `(me, rng, topology, fail_streak)`, so a seeded xorshift closure
 //!    makes the policies' selection behaviour exactly checkable —
 //!    [`HierarchicalVictim`] stays on the thief's node below the
 //!    escalation threshold and goes machine-wide (flagged `escalated`)
 //!    above it; [`LocalityFirst`] concentrates picks on the nearest ring.
-//! 2. **End-to-end**: a runtime built with a hierarchical policy on a
-//!    modelled 2-node topology lands a strictly larger share of same-node
-//!    steals than the uniform baseline, observed through the
-//!    `steals_local_node` / `steals_remote_node` counters.
+//! 2. **Scripted thieves**: replaying a fixed sequence of fail streaks for
+//!    every worker of a modelled 2-node topology, the hierarchical policy
+//!    lands a strictly larger share of same-node picks than the uniform
+//!    baseline. A real steal race would make this share depend on timing.
 
-use xkaapi::core::{
-    HierarchicalVictim, LocalityFirst, Runtime, Shared, StealPolicy, Topology, UniformVictim,
-};
+use xkaapi::core::{HierarchicalVictim, LocalityFirst, StealPolicy, Topology, UniformVictim};
 
 /// Seeded xorshift64* closure: the same seed replays the same choices.
 fn seeded_rng(mut x: u64) -> impl FnMut() -> u64 {
@@ -136,96 +134,52 @@ fn uniform_covers_all_victims_without_escalating() {
     assert_eq!(covered, 7, "uniform must reach every other worker");
 }
 
-/// The steal-heavy workload: one producer scope of busy data-flow chains
-/// (thieves can win claims from the owner) plus an adaptive reduction
-/// whose on-demand splits hand slices to requesting thieves. Checksum is
-/// schedule-independent.
-fn chain_workload(rt: &Runtime) -> u64 {
-    let cells: Vec<Shared<u64>> = (0..16).map(|_| Shared::new(1)).collect();
-    rt.scope(|ctx| {
-        for round in 0..25u64 {
-            for (i, c) in cells.iter().enumerate() {
-                let cw = c.clone();
-                ctx.spawn([c.exclusive()], move |t| {
-                    let mut acc = round;
-                    for k in 0..400u64 {
-                        acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
+/// Scripted thief behaviour: each entry is one acquisition episode, the
+/// number of failed probes before the hit that resets the fail streak.
+/// Mixes short runs (below `HierarchicalVictim`'s escalation threshold of
+/// 4) with dry-node runs that escalate machine-wide.
+const FAIL_RUNS: [u32; 12] = [0, 1, 0, 2, 6, 0, 1, 3, 9, 0, 4, 1];
+
+/// Replay [`FAIL_RUNS`] for every thief of `topo` — one victim pick per
+/// probe, at the streak the thief has when it makes it — with a seeded rng,
+/// and count the `(same-node, remote)` picks.
+fn scripted_picks(pol: &dyn StealPolicy, topo: &Topology, seed: u64) -> (u32, u32) {
+    let mut rng = seeded_rng(seed);
+    let (mut local, mut remote) = (0u32, 0u32);
+    for _ in 0..20 {
+        for me in 0..topo.workers() {
+            for &run in &FAIL_RUNS {
+                for streak in 0..=run {
+                    let c = pol.choose_victim(me, &mut rng, topo, streak);
+                    assert_ne!(c.victim, me);
+                    if topo.same_node(me, c.victim) {
+                        local += 1;
+                    } else {
+                        remote += 1;
                     }
-                    std::hint::black_box(acc);
-                    *t.write(&cw) += round + i as u64;
-                });
+                }
             }
         }
-    });
-    let chain_sum: u64 = cells.iter().map(|c| *c.get()).sum();
-    let loop_sum = rt.foreach_reduce(
-        0..10_000,
-        None,
-        || 0u64,
-        |a, i| {
-            let mut acc = i as u64;
-            for k in 0..20u64 {
-                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(k);
-            }
-            std::hint::black_box(acc);
-            *a += i as u64;
-        },
-        |a, b| a + b,
-    );
-    chain_sum.wrapping_add(loop_sum)
+    }
+    (local, remote)
 }
 
 #[test]
 fn hierarchical_lands_more_same_node_steals_than_uniform() {
-    let workers = 8;
-    let build = |pol: std::sync::Arc<dyn StealPolicy>| {
-        Runtime::builder()
-            .workers(workers)
-            .steal_policy(pol)
-            .topology(Topology::two_level(workers, 4))
-            .build()
-    };
-    let rt_uni = build(std::sync::Arc::new(UniformVictim));
-    let rt_hier = build(std::sync::Arc::new(HierarchicalVictim::default()));
-
-    let expect = chain_workload(&rt_uni);
-    rt_uni.reset_stats();
-    rt_hier.reset_stats();
-
-    // Accumulate steals until both policies have a solid sample (stats
-    // accumulate across rounds; results asserted every round). With ~µs
-    // busy links plus adaptive splits, a few hundred classified steals
-    // arrive well within the round budget.
-    for _ in 0..400 {
-        assert_eq!(chain_workload(&rt_uni), expect);
-        assert_eq!(chain_workload(&rt_hier), expect);
-        let (u, h) = (rt_uni.stats(), rt_hier.stats());
-        if u.steals_local_node + u.steals_remote_node >= 200
-            && h.steals_local_node + h.steals_remote_node >= 200
-        {
-            break;
-        }
-    }
-
-    let (u, h) = (rt_uni.stats(), rt_hier.stats());
+    let topo = Topology::two_level(8, 4); // nodes {0..3} and {4..7}
+    let (ul, ur) = scripted_picks(&UniformVictim, &topo, 0x5EED_CAFE);
+    let (hl, hr) = scripted_picks(&HierarchicalVictim::default(), &topo, 0x5EED_CAFE);
+    let ratio = |l: u32, r: u32| l as f64 / (l + r) as f64;
     assert!(
-        u.steals_local_node + u.steals_remote_node >= 50,
-        "not enough steal pressure to classify locality: {u:?}"
-    );
-    assert!(
-        h.steal_locality_ratio() > u.steal_locality_ratio(),
-        "hierarchical locality ratio must beat uniform: {:.3} (={}/{}) vs {:.3} (={}/{})",
-        h.steal_locality_ratio(),
-        h.steals_local_node,
-        h.steals_remote_node,
-        u.steal_locality_ratio(),
-        u.steals_local_node,
-        u.steals_remote_node
+        ratio(hl, hr) > ratio(ul, ur),
+        "hierarchical same-node share must beat uniform: {:.3} (={hl}/{hr}) vs {:.3} (={ul}/{ur})",
+        ratio(hl, hr),
+        ratio(ul, ur)
     );
     // The hierarchical policy overwhelmingly stays on-node; uniform can't
     // (only 3 of 7 victims are local).
     assert!(
-        h.steals_local_node > h.steals_remote_node,
-        "hierarchical must steal mostly same-node: {h:?}"
+        hl > hr,
+        "hierarchical must pick mostly same-node victims: {hl} local vs {hr} remote"
     );
 }
