@@ -11,7 +11,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use xkaapi_bench::{measure_ns, print_table, SchedPolicy};
-use xkaapi_core::{PromotionPolicy, Runtime, Shared};
+use xkaapi_core::{PromotionPolicy, Runtime, Shared, StealPolicy};
 use xkaapi_forkjoin::the_deque::{JobRef, TheDeque};
 
 struct Bench {
@@ -177,8 +177,11 @@ fn bench_dataflow(b: &mut Bench) {
             assert_eq!(*h.get(), 256);
         });
     }
-    for (label, agg) in [("aggregation-on", true), ("aggregation-off", false)] {
-        let rt = Runtime::builder().workers(4).aggregation(agg).build();
+    for (label, steal) in [
+        ("aggregation-on", StealPolicy::Aggregated),
+        ("aggregation-off", StealPolicy::PerThief),
+    ] {
+        let rt = Runtime::builder().workers(4).steal_policy(steal).build();
         b.run("dataflow", &format!("wide512 {label}"), 512, || {
             let sum = AtomicUsize::new(0);
             rt.scope(|ctx| {

@@ -24,7 +24,7 @@ use xkaapi_bench::{
     busy_work, measure_ns, print_table, steal_heavy_workload, SchedPolicy, VictimPolicy,
 };
 use xkaapi_core::dataflow::DataflowEngine;
-use xkaapi_core::{PromotionPolicy, RenamePolicy, Runtime, Shared, Topology};
+use xkaapi_core::{PromotionPolicy, RenamePolicy, Runtime, Shared, StealPolicy, Topology};
 use xkaapi_linalg::{cholesky_seq, cholesky_xkaapi, RecordedCholesky, TiledMatrix};
 use xkaapi_sim::{simulate_dag, DagPolicy, Platform, SimTask, TaskDag};
 
@@ -50,7 +50,7 @@ fn policy_workload(rt: &Runtime) -> u64 {
 /// builder at default attributes (`ctx.task().…spawn`). Under `Priority`
 /// defaults and no affinity the builder lowers to exactly the legacy spawn
 /// path, so its checksum must equal [`policy_workload`]'s on every
-/// queue × steal policy — the ISSUE 5 acceptance gate.
+/// queue × steal policy.
 fn policy_workload_builder(rt: &Runtime) -> u64 {
     let cells: Vec<Shared<u64>> = (0..16).map(|_| Shared::new(1)).collect();
     rt.scope(|ctx| {
@@ -171,7 +171,7 @@ fn main() {
     // Each configuration runs the workload twice: once through the legacy
     // `Ctx::spawn` front door and once through the attribute-carrying
     // builder at default attributes. The two must agree with each other
-    // and across every queue × steal policy (ISSUE 5 acceptance gate).
+    // and across every queue × steal policy.
     let mut rows = Vec::new();
     let mut checksums = Vec::new();
     for pol in SchedPolicy::ALL {
@@ -409,11 +409,7 @@ fn main() {
     let two_node = || Topology::two_level(vp_workers, 4);
     let mut rows = Vec::new();
     let mut checksums = Vec::new();
-    for queue in [
-        SchedPolicy::DistributedAggregated,
-        SchedPolicy::CentralOmp,
-        SchedPolicy::CentralQuark,
-    ] {
+    for queue in [SchedPolicy::DistributedAggregated, SchedPolicy::Central] {
         for victim in VictimPolicy::ALL {
             let rt = queue.build_runtime_with(vp_workers, victim, two_node());
             let mut sum = 0;
@@ -453,7 +449,7 @@ fn main() {
         "victim policies disagree on the workload result: {checksums:?}"
     );
     print_table(
-        "Victim-policy sweep: 3 queue layers x 3 victim policies, 8 workers on 2 modelled nodes \
+        "Victim-policy sweep: 2 queue layers x 3 victim policies, 8 workers on 2 modelled nodes \
          (identical checksums)",
         &[
             "queue layer",
@@ -558,8 +554,11 @@ fn main() {
 
     // --- real: aggregation on/off under thief pressure ------------------
     let mut rows = Vec::new();
-    for (label, agg) in [("aggregation ON", true), ("aggregation OFF", false)] {
-        let rt = Runtime::builder().workers(4).aggregation(agg).build();
+    for (label, steal) in [
+        ("aggregation ON", StealPolicy::Aggregated),
+        ("aggregation OFF", StealPolicy::PerThief),
+    ] {
+        let rt = Runtime::builder().workers(4).steal_policy(steal).build();
         let t = measure_ns(5, || {
             let sum = AtomicUsize::new(0);
             rt.scope(|ctx| {

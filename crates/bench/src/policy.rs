@@ -2,22 +2,15 @@
 //!
 //! [`SchedPolicy`] enumerates the queue-layer × steal-layer combinations
 //! the engine supports, so a benchmark can flip the entire scheduler
-//! architecture — distributed work stealing vs the centralized baselines,
-//! aggregation on or off — from a single enum value instead of three
-//! codebases (the pre-refactor state: `omp`, `quark::central` and `core`
-//! each hand-rolled their own worker loop and queue machinery).
+//! architecture — distributed work stealing vs the centralized baseline,
+//! aggregation on or off — from a single enum value; [`VictimPolicy`]
+//! sweeps victim selection orthogonally to it.
 
-use std::sync::Arc;
-use xkaapi_core::{
-    AggregatedStealing, HierarchicalVictim, LocalityFirst, PerThiefStealing, Runtime, StealPolicy,
-    TaskQueue, Topology, UniformVictim,
-};
-use xkaapi_omp::OmpCentralQueue;
-use xkaapi_quark::QuarkCentralQueue;
+use xkaapi_core::{QueueKind, Runtime, StealPolicy, Topology};
 
 /// Victim-selection dimension of the steal layer, swept orthogonally to
-/// the queue layer by `bench --bin ablation` (ISSUE 3: uniform ×
-/// hierarchical × locality-first on distributed and centralized queues).
+/// the queue layer by `bench --bin ablation` (uniform × hierarchical ×
+/// locality-first on the distributed and central queues).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum VictimPolicy {
     /// Uniform random victim, full aggregation (the paper's default).
@@ -47,12 +40,12 @@ impl VictimPolicy {
         }
     }
 
-    /// The steal-layer policy object implementing this victim selection.
-    pub fn steal_policy(self) -> Arc<dyn StealPolicy> {
+    /// The steal-layer policy implementing this victim selection.
+    pub fn steal_policy(self) -> StealPolicy {
         match self {
-            VictimPolicy::Uniform => Arc::new(UniformVictim),
-            VictimPolicy::Hierarchical => Arc::new(HierarchicalVictim::default()),
-            VictimPolicy::LocalityFirst => Arc::new(LocalityFirst::default()),
+            VictimPolicy::Uniform => StealPolicy::Aggregated,
+            VictimPolicy::Hierarchical => StealPolicy::hierarchical(),
+            VictimPolicy::LocalityFirst => StealPolicy::locality_first(),
         }
     }
 }
@@ -66,21 +59,18 @@ pub enum SchedPolicy {
     /// Same distributed structure, but each thief pays its own steal
     /// (no request aggregation).
     DistributedPerThief,
-    /// libGOMP weight class: one mutex-protected global FIFO
-    /// ([`OmpCentralQueue`]), eager ready-task publication.
-    CentralOmp,
-    /// QUARK weight class: the centralized ready list with priority
-    /// ordering ([`QuarkCentralQueue`]), eager ready-task publication.
-    CentralQuark,
+    /// libGOMP/QUARK weight class: one mutex-protected FIFO per priority
+    /// band shared by every worker ([`QueueKind::Central`]), eager
+    /// ready-task publication.
+    Central,
 }
 
 impl SchedPolicy {
     /// Every configuration, for exhaustive sweeps.
-    pub const ALL: [SchedPolicy; 4] = [
+    pub const ALL: [SchedPolicy; 3] = [
         SchedPolicy::DistributedAggregated,
         SchedPolicy::DistributedPerThief,
-        SchedPolicy::CentralOmp,
-        SchedPolicy::CentralQuark,
+        SchedPolicy::Central,
     ];
 
     /// Table label.
@@ -88,8 +78,7 @@ impl SchedPolicy {
         match self {
             SchedPolicy::DistributedAggregated => "distributed + aggregation",
             SchedPolicy::DistributedPerThief => "distributed, per-thief",
-            SchedPolicy::CentralOmp => "central FIFO (omp)",
-            SchedPolicy::CentralQuark => "central ready-list (quark)",
+            SchedPolicy::Central => "central FIFO",
         }
     }
 
@@ -102,7 +91,7 @@ impl SchedPolicy {
     /// victim-selection policy and machine topology — the full
     /// queue-layer × victim-policy sweep surface. The victim policy
     /// replaces this configuration's default steal layer (the queue layer
-    /// is unchanged, so centralized queues sweep victim policies too).
+    /// is unchanged, so the central queue sweeps victim policies too).
     pub fn build_runtime_with(
         self,
         workers: usize,
@@ -118,18 +107,9 @@ impl SchedPolicy {
     fn builder(self, workers: usize) -> xkaapi_core::Builder {
         let builder = Runtime::builder().workers(workers);
         match self {
-            SchedPolicy::DistributedAggregated => {
-                builder.steal_policy(Arc::new(AggregatedStealing) as Arc<dyn StealPolicy>)
-            }
-            SchedPolicy::DistributedPerThief => {
-                builder.steal_policy(Arc::new(PerThiefStealing) as Arc<dyn StealPolicy>)
-            }
-            SchedPolicy::CentralOmp => {
-                builder.task_queue(Arc::new(OmpCentralQueue::new()) as Arc<dyn TaskQueue>)
-            }
-            SchedPolicy::CentralQuark => {
-                builder.task_queue(Arc::new(QuarkCentralQueue::new()) as Arc<dyn TaskQueue>)
-            }
+            SchedPolicy::DistributedAggregated => builder.steal_policy(StealPolicy::Aggregated),
+            SchedPolicy::DistributedPerThief => builder.steal_policy(StealPolicy::PerThief),
+            SchedPolicy::Central => builder.queue(QueueKind::Central),
         }
     }
 }

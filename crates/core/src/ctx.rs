@@ -494,7 +494,7 @@ pub(crate) fn help_until(
         // lives (and the only progress source at 1 worker). Distributed
         // lanes must NOT be popped here — a suspended join's help loop
         // consuming its own lane would break the LIFO discipline
-        // `TaskQueue::take` relies on; thieves reach lanes via the steal
+        // `Queue::take` relies on; thieves reach lanes via the steal
         // protocol below instead.
         if rt.queue.centralized() {
             if let Some(item) = rt.queue.pop(widx) {
@@ -1181,7 +1181,7 @@ impl<'b, 'scope> TaskBuilder<'b, 'scope> {
         self
     }
 
-    /// Route the task to an execution track (default [`Track::Cpu`]:
+    /// Route the task to an execution track (default [`Track::Cpu`](crate::Track::Cpu):
     /// today's worker pool, unchanged). `Track::Offload` hands it to the
     /// modelled accelerator engine — successors become ready when its
     /// completion drains, not when the body returns; `Track::Io` runs it

@@ -7,7 +7,7 @@
 //! graph — and its **slot routing** (which buffer of the handle each access
 //! must touch).
 //!
-//! Both execution strategies of [`crate::frame::Frame`] are built on this
+//! Both execution strategies of the runtime's task frame are built on this
 //! one engine, so they can never disagree:
 //!
 //! * **scan mode** answers "is task *i* ready?" by checking that every

@@ -117,11 +117,8 @@ pub use fault::FaultPlan;
 pub use frame::PromotionPolicy;
 pub use handle::{PartView, Partitioned, Reduction, Ref, RefMut, Shared};
 pub use inject::{InjectLaneStats, InjectPolicy, JoinHandle, OnFull, SubmitError};
-pub use policy::{
-    uniform_victim, AggregatedStealing, HierarchicalVictim, LocalityFirst, PerThiefStealing,
-    RenamePolicy, StealPolicy, UniformVictim, VictimChoice,
-};
-pub use queue::{DistributedLanes, TaskQueue, WorkItem};
+pub use policy::{uniform_victim, RenamePolicy, StealPolicy, VictimChoice};
+pub use queue::{CentralQueue, QueueKind};
 pub use record::{RecCtx, RecTaskBuilder, RecordStats, RecordedDag, ReplayTrace, TraceEvent};
 pub use runtime::{Builder, JobBuilder, Runtime, Tunables};
 pub use stats::StatsSnapshot;

@@ -1,5 +1,5 @@
-//! Pluggable scheduler policies: the thief-side steal protocol
-//! ([`StealPolicy`]) and the write-only renaming knobs ([`RenamePolicy`]).
+//! Scheduler policies: the thief-side steal protocol ([`StealPolicy`]) and
+//! the write-only renaming knobs ([`RenamePolicy`]).
 //!
 //! Idle workers post request nodes onto a victim's Treiber stack and race
 //! for its steal lock; the winner (the *elected combiner*) drains every
@@ -15,21 +15,8 @@
 //!   is bounded, which thieves get the grabs first (near ones, under the
 //!   locality-aware policies).
 //!
-//! Implementations:
-//!
-//! * [`AggregatedStealing`] — flat combining, the paper's design: uniform
-//!   victims, the combiner serves **all** drained requests in a single
-//!   traversal of the victim's work (N requests, one ready-task detection);
-//! * [`PerThiefStealing`] — the ablation baseline: the combiner serves only
-//!   itself (each thief pays its own traversal);
-//! * [`UniformVictim`] — [`AggregatedStealing`] under its victim-selection
-//!   name, the uniform end of the locality sweep;
-//! * [`HierarchicalVictim`] — prefer victims on the thief's own NUMA node,
-//!   escalate outward as the fail streak grows; bounded, near-first batches;
-//! * [`LocalityFirst`] — rank victims by topology distance and walk the
-//!   distance rings outward probabilistically; bounded, near-first batches.
-//!
-//! Implementations are stateless value objects; per-thief state (the fail
+//! The policy is a closed, `Copy` enum held by value in the runtime, so
+//! every call is a `match`, not a virtual call. Per-thief state (the fail
 //! streak) lives on the worker and is passed in.
 
 use crate::topology::Topology;
@@ -90,240 +77,207 @@ fn pick_excluding(cands: &[usize], me: usize, rng: &mut dyn FnMut() -> u64) -> O
 
 /// Thief-side steal protocol of the engine: victim selection + combiner
 /// batch policy.
-pub trait StealPolicy: Send + Sync {
-    /// Short human-readable name (ablation tables).
-    fn name(&self) -> &'static str;
-
-    /// Of `pending` drained requests, how many the elected combiner serves
-    /// in this batch. The remainder are re-queued onto the victim's request
-    /// stack (served by the next combiner pass) while the victim still has
-    /// work. Must return at least 1 when `pending >= 1`.
-    fn serve_batch(&self, pending: usize) -> usize;
-
-    /// Pick a victim for thief `me`. `rng` is the thief's private xorshift
-    /// stream; `fail_streak` counts this thief's consecutive failed steal
-    /// attempts (reset on every successful work acquisition) — policies use
-    /// it to escalate from near victims to far ones. Called with at least
-    /// two workers in the topology. Default: uniform over everyone else.
-    fn choose_victim(
-        &self,
-        me: usize,
-        rng: &mut dyn FnMut() -> u64,
-        topo: &Topology,
-        fail_streak: u32,
-    ) -> VictimChoice {
-        let _ = fail_streak;
-        VictimChoice::near(uniform_victim(me, topo.workers(), rng))
-    }
-
-    /// Service-priority key for a drained request when the combiner hands
-    /// out a bounded batch: lower keys are served first (stable for ties,
-    /// so the default constant preserves arrival order). Locality-aware
-    /// policies return the victim→thief distance, handing grabs to near
-    /// thieves before far ones.
-    fn thief_priority(&self, victim: usize, thief: usize, topo: &Topology) -> u32 {
-        let _ = (victim, thief, topo);
-        0
-    }
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum StealPolicy {
+    /// Flat-combining aggregation, the paper's design: uniform victims,
+    /// the combiner serves **all** drained requests in a single traversal
+    /// of the victim's work (N requests, one ready-task detection).
+    #[default]
+    Aggregated,
+    /// The ablation baseline: uniform victims, the combiner serves only
+    /// itself (each thief pays its own traversal).
+    PerThief,
+    /// Probe victims on the thief's own NUMA node until the fail streak
+    /// says the node is dry, then escalate to the whole machine. Batches
+    /// are bounded and near thieves are served first.
+    Hierarchical {
+        /// Consecutive failed attempts before the thief starts probing
+        /// remote nodes. Below this, only same-node victims are chosen.
+        escalate_after: u32,
+        /// Combiner batch bound: serve at most this many of the drained
+        /// requests per pass.
+        max_batch: usize,
+    },
+    /// Victims ranked by topology distance; the thief walks the distance
+    /// rings outward probabilistically (¾ of picks stay in the nearest
+    /// ring, each farther ring is 4× less likely), shifted outward by the
+    /// fail streak so a dry neighbourhood is abandoned. Batches are bounded
+    /// and near thieves are served first.
+    LocalityFirst {
+        /// Fail streak granting one extra starting ring (escalation speed).
+        escalate_after: u32,
+        /// Combiner batch bound (serve ≤ k of N drained requests).
+        max_batch: usize,
+    },
 }
 
-/// Flat-combining aggregation: one combiner serves every pending request;
-/// victims chosen uniformly.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct AggregatedStealing;
-
-impl StealPolicy for AggregatedStealing {
-    fn name(&self) -> &'static str {
-        "aggregated"
-    }
-
-    fn serve_batch(&self, pending: usize) -> usize {
-        pending
-    }
-}
-
-/// Naive per-thief stealing: the combiner serves only itself; victims
-/// chosen uniformly.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct PerThiefStealing;
-
-impl StealPolicy for PerThiefStealing {
-    fn name(&self) -> &'static str {
-        "per-thief"
-    }
-
-    fn serve_batch(&self, pending: usize) -> usize {
-        pending.min(1)
-    }
-}
-
-/// Uniform victim selection with full aggregation — behaviourally
-/// [`AggregatedStealing`], named as the uniform end of the victim-policy
-/// sweep so ablation tables read `uniform / hierarchical / locality-first`.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct UniformVictim;
-
-impl StealPolicy for UniformVictim {
-    fn name(&self) -> &'static str {
-        "uniform-victim"
-    }
-
-    fn serve_batch(&self, pending: usize) -> usize {
-        pending
-    }
-}
-
-/// Hierarchical victim selection: probe victims on the thief's own NUMA
-/// node until the fail streak says the node is dry, then escalate to the
-/// whole machine. Batches are bounded (`max_batch`) and near thieves are
-/// served first.
-#[derive(Clone, Copy, Debug)]
-pub struct HierarchicalVictim {
-    /// Consecutive failed attempts before the thief starts probing remote
-    /// nodes. Below this, only same-node victims are chosen.
-    pub escalate_after: u32,
-    /// Combiner batch bound: serve at most this many of the drained
-    /// requests per pass (ROADMAP's bounded-batch spectrum point).
-    pub max_batch: usize,
-}
-
-impl Default for HierarchicalVictim {
-    fn default() -> Self {
-        HierarchicalVictim {
+impl StealPolicy {
+    /// [`StealPolicy::Hierarchical`] with its default knobs: escalate after
+    /// 4 failed attempts, batches of at most 8.
+    pub const fn hierarchical() -> StealPolicy {
+        StealPolicy::Hierarchical {
             escalate_after: 4,
             max_batch: 8,
         }
     }
-}
 
-impl StealPolicy for HierarchicalVictim {
-    fn name(&self) -> &'static str {
-        "hierarchical"
-    }
-
-    fn serve_batch(&self, pending: usize) -> usize {
-        pending.min(self.max_batch.max(1))
-    }
-
-    fn choose_victim(
-        &self,
-        me: usize,
-        rng: &mut dyn FnMut() -> u64,
-        topo: &Topology,
-        fail_streak: u32,
-    ) -> VictimChoice {
-        let local = topo.workers_on_node(topo.node_of(me));
-        if fail_streak < self.escalate_after {
-            if let Some(v) = pick_excluding(local, me, rng) {
-                return VictimChoice::near(v);
-            }
-        }
-        // Escalate: the local node failed `escalate_after` times in a row
-        // (or the thief is alone on it) — go machine-wide. Counted as an
-        // escalation only when a local alternative existed.
-        let v = uniform_victim(me, topo.workers(), rng);
-        if local.len() > 1 {
-            VictimChoice::far(v)
-        } else {
-            VictimChoice::near(v)
-        }
-    }
-
-    fn thief_priority(&self, victim: usize, thief: usize, topo: &Topology) -> u32 {
-        topo.distance(victim, thief)
-    }
-}
-
-/// Locality-first victim selection: victims ranked by topology distance;
-/// the thief walks the distance rings outward probabilistically (¾ of
-/// picks stay in the nearest ring, each farther ring is 4× less likely),
-/// shifted outward by the fail streak so a dry neighbourhood is abandoned.
-/// Batches are bounded and near thieves are served first.
-#[derive(Clone, Copy, Debug)]
-pub struct LocalityFirst {
-    /// Fail streak granting one extra starting ring (escalation speed).
-    pub escalate_after: u32,
-    /// Combiner batch bound (serve ≤ k of N drained requests).
-    pub max_batch: usize,
-}
-
-impl Default for LocalityFirst {
-    fn default() -> Self {
-        LocalityFirst {
+    /// [`StealPolicy::LocalityFirst`] with its default knobs: one extra
+    /// starting ring per 8 failed attempts, batches of at most 8.
+    pub const fn locality_first() -> StealPolicy {
+        StealPolicy::LocalityFirst {
             escalate_after: 8,
             max_batch: 8,
         }
     }
-}
 
-impl StealPolicy for LocalityFirst {
-    fn name(&self) -> &'static str {
-        "locality-first"
+    /// Short human-readable name (ablation tables).
+    pub fn name(self) -> &'static str {
+        match self {
+            StealPolicy::Aggregated => "aggregated",
+            StealPolicy::PerThief => "per-thief",
+            StealPolicy::Hierarchical { .. } => "hierarchical",
+            StealPolicy::LocalityFirst { .. } => "locality-first",
+        }
     }
 
-    fn serve_batch(&self, pending: usize) -> usize {
-        pending.min(self.max_batch.max(1))
+    /// Of `pending` drained requests, how many the elected combiner serves
+    /// in this batch. The remainder are re-queued onto the victim's request
+    /// stack (served by the next combiner pass) while the victim still has
+    /// work. At least 1 when `pending >= 1`.
+    pub fn serve_batch(self, pending: usize) -> usize {
+        match self {
+            StealPolicy::Aggregated => pending,
+            StealPolicy::PerThief => pending.min(1),
+            StealPolicy::Hierarchical { max_batch, .. }
+            | StealPolicy::LocalityFirst { max_batch, .. } => pending.min(max_batch.max(1)),
+        }
     }
 
-    fn choose_victim(
-        &self,
+    /// Pick a victim for thief `me`. `rng` is the thief's private xorshift
+    /// stream; `fail_streak` counts this thief's consecutive failed steal
+    /// attempts (reset on every successful work acquisition) — the
+    /// locality-aware policies use it to escalate from near victims to far
+    /// ones. Requires at least two workers in the topology; the pick is
+    /// never `me` and always `< topo.workers()`.
+    pub fn choose_victim(
+        self,
         me: usize,
         rng: &mut dyn FnMut() -> u64,
         topo: &Topology,
         fail_streak: u32,
     ) -> VictimChoice {
-        if topo.is_flat() {
-            return VictimChoice::near(uniform_victim(me, topo.workers(), rng));
-        }
-        let rings = topo.distance_rings(me);
-        // Starting ring grows with the fail streak; a geometric coin walks
-        // farther outward (probabilistic tie-break between equally-ranked
-        // escape hatches).
-        let mut ring = ((fail_streak / self.escalate_after.max(1)) as usize).min(rings.len() - 1);
-        while ring + 1 < rings.len() && rng().is_multiple_of(4) {
-            ring += 1;
-        }
-        let max_d = rings[ring];
-        let my_node = topo.node_of(me);
-        // Candidate nodes within the chosen radius, then a uniform pick
-        // among their workers (weighted by node population).
-        let mut cand_workers = 0usize;
-        for n in 0..topo.nodes() {
-            if topo.distances().get(my_node, n) <= max_d {
-                cand_workers += topo.workers_on_node(n).len();
+        match self {
+            StealPolicy::Aggregated | StealPolicy::PerThief => {
+                VictimChoice::near(uniform_victim(me, topo.workers(), rng))
             }
-        }
-        if cand_workers <= 1 {
-            // No near alternative existed within the radius, so the
-            // machine-wide fallback is not a *deliberate* escalation
-            // (mirrors HierarchicalVictim's lone-worker-on-a-node case).
-            return VictimChoice::near(uniform_victim(me, topo.workers(), rng));
-        }
-        loop {
-            let mut pick = (rng() % cand_workers as u64) as usize;
-            for n in 0..topo.nodes() {
-                if topo.distances().get(my_node, n) > max_d {
-                    continue;
-                }
-                let ws = topo.workers_on_node(n);
-                if pick < ws.len() {
-                    let v = ws[pick];
-                    if v == me {
-                        break; // reroll
-                    }
-                    return if topo.same_node(me, v) {
-                        VictimChoice::near(v)
-                    } else {
-                        VictimChoice::far(v)
-                    };
-                }
-                pick -= ws.len();
+            StealPolicy::Hierarchical { escalate_after, .. } => {
+                hierarchical_victim(escalate_after, me, rng, topo, fail_streak)
+            }
+            StealPolicy::LocalityFirst { escalate_after, .. } => {
+                locality_first_victim(escalate_after, me, rng, topo, fail_streak)
             }
         }
     }
 
-    fn thief_priority(&self, victim: usize, thief: usize, topo: &Topology) -> u32 {
-        topo.distance(victim, thief)
+    /// Service-priority key for a drained request when the combiner hands
+    /// out a bounded batch: lower keys are served first (stable for ties,
+    /// so the uniform policies' constant key preserves arrival order). The
+    /// locality-aware policies return the victim→thief distance, handing
+    /// grabs to near thieves before far ones.
+    pub fn thief_priority(self, victim: usize, thief: usize, topo: &Topology) -> u32 {
+        match self {
+            StealPolicy::Aggregated | StealPolicy::PerThief => 0,
+            StealPolicy::Hierarchical { .. } | StealPolicy::LocalityFirst { .. } => {
+                topo.distance(victim, thief)
+            }
+        }
+    }
+}
+
+/// [`StealPolicy::Hierarchical`] victim selection.
+fn hierarchical_victim(
+    escalate_after: u32,
+    me: usize,
+    rng: &mut dyn FnMut() -> u64,
+    topo: &Topology,
+    fail_streak: u32,
+) -> VictimChoice {
+    let local = topo.workers_on_node(topo.node_of(me));
+    if fail_streak < escalate_after {
+        if let Some(v) = pick_excluding(local, me, rng) {
+            return VictimChoice::near(v);
+        }
+    }
+    // Escalate: the local node failed `escalate_after` times in a row
+    // (or the thief is alone on it) — go machine-wide. Counted as an
+    // escalation only when a local alternative existed.
+    let v = uniform_victim(me, topo.workers(), rng);
+    if local.len() > 1 {
+        VictimChoice::far(v)
+    } else {
+        VictimChoice::near(v)
+    }
+}
+
+/// [`StealPolicy::LocalityFirst`] victim selection.
+fn locality_first_victim(
+    escalate_after: u32,
+    me: usize,
+    rng: &mut dyn FnMut() -> u64,
+    topo: &Topology,
+    fail_streak: u32,
+) -> VictimChoice {
+    if topo.is_flat() {
+        return VictimChoice::near(uniform_victim(me, topo.workers(), rng));
+    }
+    let rings = topo.distance_rings(me);
+    // Starting ring grows with the fail streak; a geometric coin walks
+    // farther outward (probabilistic tie-break between equally-ranked
+    // escape hatches).
+    let mut ring = ((fail_streak / escalate_after.max(1)) as usize).min(rings.len() - 1);
+    while ring + 1 < rings.len() && rng().is_multiple_of(4) {
+        ring += 1;
+    }
+    let max_d = rings[ring];
+    let my_node = topo.node_of(me);
+    let lone = topo.workers_on_node(my_node).len() == 1;
+    // Candidate nodes within the chosen radius, then a uniform pick
+    // among their workers (weighted by node population).
+    let mut cand_workers = 0usize;
+    for n in 0..topo.nodes() {
+        if topo.distances().get(my_node, n) <= max_d {
+            cand_workers += topo.workers_on_node(n).len();
+        }
+    }
+    if cand_workers <= 1 {
+        // No near alternative existed within the radius, so the
+        // machine-wide fallback is not a *deliberate* escalation
+        // (mirrors the hierarchical lone-worker-on-a-node case).
+        return VictimChoice::near(uniform_victim(me, topo.workers(), rng));
+    }
+    loop {
+        let mut pick = (rng() % cand_workers as u64) as usize;
+        for n in 0..topo.nodes() {
+            if topo.distances().get(my_node, n) > max_d {
+                continue;
+            }
+            let ws = topo.workers_on_node(n);
+            if pick < ws.len() {
+                let v = ws[pick];
+                if v == me {
+                    break; // reroll
+                }
+                // A remote pick counts as an escalation only when a
+                // same-node alternative existed (as in the hierarchical
+                // policy): a thief alone on its node has no nearer set.
+                return if topo.same_node(me, v) || lone {
+                    VictimChoice::near(v)
+                } else {
+                    VictimChoice::far(v)
+                };
+            }
+            pick -= ws.len();
+        }
     }
 }
 
@@ -374,6 +328,13 @@ mod tests {
         }
     }
 
+    const ALL: [StealPolicy; 4] = [
+        StealPolicy::Aggregated,
+        StealPolicy::PerThief,
+        StealPolicy::hierarchical(),
+        StealPolicy::locality_first(),
+    ];
+
     #[test]
     fn rename_defaults() {
         let p = RenamePolicy::default();
@@ -383,18 +344,17 @@ mod tests {
 
     #[test]
     fn batch_sizes() {
-        assert_eq!(AggregatedStealing.serve_batch(7), 7);
-        assert_eq!(AggregatedStealing.serve_batch(1), 1);
-        assert_eq!(PerThiefStealing.serve_batch(7), 1);
-        assert_eq!(PerThiefStealing.serve_batch(0), 0);
-        assert_eq!(UniformVictim.serve_batch(9), 9);
-        let h = HierarchicalVictim {
+        assert_eq!(StealPolicy::Aggregated.serve_batch(7), 7);
+        assert_eq!(StealPolicy::Aggregated.serve_batch(1), 1);
+        assert_eq!(StealPolicy::PerThief.serve_batch(7), 1);
+        assert_eq!(StealPolicy::PerThief.serve_batch(0), 0);
+        let h = StealPolicy::Hierarchical {
             escalate_after: 4,
             max_batch: 3,
         };
         assert_eq!(h.serve_batch(7), 3);
         assert_eq!(h.serve_batch(2), 2);
-        let l = LocalityFirst {
+        let l = StealPolicy::LocalityFirst {
             escalate_after: 8,
             max_batch: 2,
         };
@@ -402,13 +362,43 @@ mod tests {
     }
 
     #[test]
+    fn defaults_and_names() {
+        assert_eq!(StealPolicy::default(), StealPolicy::Aggregated);
+        let names: Vec<&str> = ALL.iter().map(|p| p.name()).collect();
+        assert_eq!(
+            names,
+            ["aggregated", "per-thief", "hierarchical", "locality-first"]
+        );
+    }
+
+    /// Every variant, on a flat, a balanced and a lopsided topology (worker
+    /// 4 of `two_level(5, 4)` is alone on node 1), at every fail streak up
+    /// to 32: the pick is a legal victim, and a thief with no same-node
+    /// alternative is never counted as escalating.
+    #[test]
     fn uniform_never_picks_me() {
         let mut rng = seeded_rng(42);
-        for me in 0..4 {
-            for _ in 0..100 {
-                let v = uniform_victim(me, 4, &mut rng);
-                assert_ne!(v, me);
-                assert!(v < 4);
+        for topo in [
+            Topology::flat(4),
+            Topology::two_level(8, 4),
+            Topology::two_level(5, 4),
+        ] {
+            let workers = topo.workers();
+            for pol in ALL {
+                for me in 0..workers {
+                    let alone = topo.workers_on_node(topo.node_of(me)).len() == 1;
+                    for fail_streak in 0..=32 {
+                        for _ in 0..20 {
+                            let c = pol.choose_victim(me, &mut rng, &topo, fail_streak);
+                            let at = format!("{pol:?} me={me}/{workers} streak={fail_streak}");
+                            assert_ne!(c.victim, me, "{at}");
+                            assert!(c.victim < workers, "{at}: victim {}", c.victim);
+                            assert!(!(alone && c.escalated), "{at}: lone thief escalated");
+                        }
+                    }
+                    let v = uniform_victim(me, workers, &mut rng);
+                    assert!(v != me && v < workers);
+                }
             }
         }
     }
@@ -416,10 +406,10 @@ mod tests {
     #[test]
     fn near_priorities_sort_first() {
         let topo = Topology::two_level(8, 4);
-        let h = HierarchicalVictim::default();
+        let h = StealPolicy::hierarchical();
         // Victim 0: same-node thief 1 outranks remote thief 5.
         assert!(h.thief_priority(0, 1, &topo) < h.thief_priority(0, 5, &topo));
         // The default policy is order-preserving (constant key).
-        assert_eq!(AggregatedStealing.thief_priority(0, 5, &topo), 0);
+        assert_eq!(StealPolicy::Aggregated.thief_priority(0, 5, &topo), 0);
     }
 }

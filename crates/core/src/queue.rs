@@ -1,33 +1,29 @@
-//! The queue layer: where *ready* work lives, behind the [`TaskQueue`]
-//! trait.
+//! The queue layer: where *ready* work lives.
 //!
-//! The engine separates three concerns the seed runtime had fused together:
+//! The engine separates three concerns:
 //!
 //! * the **dependency layer** ([`Frame`](crate::frame)) decides *when* a
 //!   data-flow task becomes ready;
 //! * the **queue layer** (this module) decides *where* ready work is stored
 //!   and how workers obtain it;
-//! * the **steal layer** ([`StealPolicy`](crate::policy::StealPolicy))
-//!   decides the thief-side protocol used to reach a victim's work.
+//! * the **steal layer** ([`StealPolicy`](crate::StealPolicy)) decides the
+//!   thief-side protocol used to reach a victim's work.
 //!
-//! Two families of [`TaskQueue`] implementations exist:
+//! The runtime holds one [`Queue`], chosen by [`QueueKind`]:
 //!
 //! * **distributed** — [`DistributedLanes`], one T.H.E. deque per worker
 //!   (owner LIFO, thief FIFO): the X-Kaapi design. Data-flow tasks stay in
 //!   their frames and are discovered lazily by steal scans.
-//! * **centralized** — one shared pool every worker pushes to and pops
-//!   from; the engine then publishes data-flow tasks eagerly on spawn and
-//!   completion (insertion-time scheduling, as QUARK and libGOMP do). The
-//!   implementations live with the baselines they were extracted from:
-//!   `xkaapi_omp::OmpCentralQueue` and `xkaapi_quark::QuarkCentralQueue`.
+//! * **central** — one [`CentralQueue`] per band that every worker pushes
+//!   to and pops from; the engine then publishes data-flow tasks eagerly on
+//!   spawn and completion (insertion-time scheduling, as QUARK and libGOMP
+//!   do). This is the baseline the paper measures against.
 //!
-//! Since the task-attribute redesign (`DESIGN.md` §5) every queue is
-//! **priority-banded**: a [`WorkItem`] carries the band of the
-//! [`Priority`](crate::Priority) it was created with, implementations keep
-//! one sub-queue per band and pop the highest non-empty band first. The
-//! default band preserves each queue's historical order exactly (owner
-//! LIFO / thief FIFO for the distributed lanes, FIFO for the central
-//! pools), so attribute-free programs schedule identically to before.
+//! Both are **priority-banded** (`DESIGN.md` §5): a [`WorkItem`] carries
+//! the band of the [`Priority`](crate::Priority) it was created with, each
+//! queue keeps one sub-queue per band and pops the highest non-empty band
+//! first. Within the default band the order is owner LIFO / thief FIFO for
+//! the distributed lanes and FIFO for the central queue.
 //!
 //! Every front-end paradigm — data-flow spawns, fork-join joins, adaptive
 //! loops — runs through whichever queue the [`Runtime`](crate::Runtime) was
@@ -45,14 +41,9 @@ use std::collections::VecDeque;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-/// One unit of ready work, opaque to [`TaskQueue`] implementors.
-///
-/// Internally this wraps the engine's `Grab`: a fork-join stack job, a
-/// claimed data-flow task, or a closure (stolen loop slice). External
-/// implementations only store and return items; [`WorkItem::token`] and
-/// [`WorkItem::band`] are the only inspection they need (to honor
-/// [`TaskQueue::take`] and the banded pop order).
-pub struct WorkItem {
+/// One unit of ready work: the engine's `Grab` (a fork-join stack job, a
+/// claimed data-flow task, or a closure) tagged with its priority band.
+pub(crate) struct WorkItem {
     pub(crate) grab: Grab,
     /// Priority band (0 = high); see [`crate::Priority::band`].
     band: u8,
@@ -88,18 +79,16 @@ impl WorkItem {
     }
 
     /// Priority band of this item: 0 = high, [`PRIORITY_BANDS`]` - 1` =
-    /// low. Implementations must pop lower band indices first and keep
-    /// their historical order within a band.
+    /// low. Queues pop lower band indices first.
     #[inline]
-    pub fn band(&self) -> usize {
+    pub(crate) fn band(&self) -> usize {
         (self.band as usize).min(PRIORITY_BANDS - 1)
     }
 
-    /// Identity token of a fork-join stack job (null for any other item).
-    ///
-    /// [`TaskQueue::take`] uses it to retract a specific job on the
-    /// fork-join fast path.
-    pub fn token(&self) -> *mut () {
+    /// Identity token of a fork-join stack job (null for any other item):
+    /// [`Queue::take`] uses it to retract a specific job on the fork-join
+    /// fast path.
+    pub(crate) fn token(&self) -> *mut () {
         match &self.grab {
             Grab::Fast(j) => j.data,
             _ => std::ptr::null_mut(),
@@ -121,50 +110,182 @@ impl std::fmt::Debug for WorkItem {
     }
 }
 
-/// The victim-side structure holding ready work (queue layer of the engine).
+/// Which ready-work store a runtime uses ([`Builder::queue`]).
 ///
-/// Implementations must be safe for concurrent use by every worker of one
-/// runtime. `worker`/`victim`/`thief` arguments are worker indices in
-/// `0..num_workers`.
-///
-/// # Priority contract
-///
-/// [`WorkItem::band`] partitions items into [`PRIORITY_BANDS`] bands.
-/// `pop`/`steal` must return items from the lowest-numbered (highest
-/// priority) non-empty band first; within one band the queue's natural
-/// order applies. Items of the default band must behave exactly as they
-/// did before bands existed.
-pub trait TaskQueue: Send + Sync {
-    /// Short human-readable name (ablation tables).
-    fn name(&self) -> &'static str;
+/// [`Builder::queue`]: crate::Builder::queue
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+pub enum QueueKind {
+    /// One priority-banded T.H.E. deque per worker, data-flow tasks found
+    /// lazily by steal scans — the X-Kaapi design.
+    #[default]
+    Distributed,
+    /// One mutex-protected FIFO per band shared by every worker, data-flow
+    /// tasks published eagerly — the libGOMP/QUARK baseline.
+    Central,
+}
 
-    /// Centralized queues share one pool: steals ignore the victim, and the
+/// The runtime's ready-work store. Every operation is a two-arm `match`.
+///
+/// `worker`/`victim` arguments are worker indices in `0..num_workers`.
+/// `pop`/`steal` return items from the highest-priority non-empty band
+/// first; within one band the queue's natural order applies.
+pub(crate) enum Queue {
+    /// Per-worker lanes (the default).
+    Lanes(DistributedLanes),
+    /// One shared FIFO per priority band, boxed so either kind keeps the
+    /// queue a (fat) pointer inside the runtime's shared state.
+    Central(Box<[CentralQueue<WorkItem>; PRIORITY_BANDS]>),
+}
+
+impl Queue {
+    pub(crate) fn new(kind: QueueKind, workers: usize) -> Queue {
+        match kind {
+            QueueKind::Distributed => Queue::Lanes(DistributedLanes::new(workers)),
+            QueueKind::Central => {
+                Queue::Central(Box::new(std::array::from_fn(|_| CentralQueue::new())))
+            }
+        }
+    }
+
+    /// Short human-readable name (ablation tables).
+    pub(crate) fn name(&self) -> &'static str {
+        match self {
+            Queue::Lanes(_) => "distributed-lanes",
+            Queue::Central(_) => "central",
+        }
+    }
+
+    /// The central queue shares one pool: steals ignore the victim, and the
     /// engine eagerly publishes ready data-flow tasks into the queue at
     /// spawn/completion time instead of relying on lazy steal scans.
-    fn centralized(&self) -> bool;
+    #[inline]
+    pub(crate) fn centralized(&self) -> bool {
+        matches!(self, Queue::Central(_))
+    }
 
     /// Owner-side push of ready work produced on `worker`. Returns the item
-    /// back when the queue refuses it (e.g. a bounded lane is full, or a
-    /// distributed lane is handed a non-fork-join item); the engine then
-    /// runs the item inline.
-    fn push(&self, worker: usize, item: WorkItem) -> Result<(), WorkItem>;
+    /// back when the queue refuses it (a full lane, or a distributed lane
+    /// handed a non-fork-join item); the engine then runs the item inline.
+    #[inline]
+    pub(crate) fn push(&self, worker: usize, item: WorkItem) -> Result<(), WorkItem> {
+        match self {
+            Queue::Lanes(l) => l.push(worker, item),
+            Queue::Central(bands) => {
+                bands[item.band()].push_back(item);
+                Ok(())
+            }
+        }
+    }
 
-    /// Pop work for `worker` without a steal protocol (own lane LIFO for
-    /// distributed queues, shared FIFO for centralized ones), highest
-    /// priority band first.
-    fn pop(&self, worker: usize) -> Option<WorkItem>;
+    /// Pop work for `worker` without a steal protocol: own lane LIFO, or
+    /// the shared FIFO.
+    #[inline]
+    pub(crate) fn pop(&self, worker: usize) -> Option<WorkItem> {
+        match self {
+            Queue::Lanes(l) => l.pop(worker),
+            Queue::Central(bands) => bands.iter().find_map(CentralQueue::pop_front),
+        }
+    }
 
-    /// Steal on behalf of `thief` from `victim`'s share of the queue,
-    /// highest priority band first.
-    fn steal(&self, thief: usize, victim: usize) -> Option<WorkItem>;
+    /// Steal from `victim`'s share of the queue (the whole shared pool
+    /// under the central queue).
+    pub(crate) fn steal(&self, victim: usize) -> Option<WorkItem> {
+        match self {
+            Queue::Lanes(l) => l.steal(victim),
+            Queue::Central(bands) => bands.iter().find_map(CentralQueue::pop_front),
+        }
+    }
 
     /// Retract the exact item identified by `token` (see
     /// [`WorkItem::token`]) if it is still queued for `worker`. The
     /// fork-join fast path uses this to reclaim its own stack job.
-    fn take(&self, worker: usize, token: *mut ()) -> Option<WorkItem>;
+    #[inline]
+    pub(crate) fn take(&self, worker: usize, token: *mut ()) -> Option<WorkItem> {
+        match self {
+            Queue::Lanes(l) => l.take(worker, token),
+            Queue::Central(bands) => {
+                if token.is_null() {
+                    return None;
+                }
+                bands
+                    .iter()
+                    .find_map(|q| q.take_last_matching(|item| std::ptr::eq(item.token(), token)))
+            }
+        }
+    }
 
-    /// Cheap emptiness hint from `worker`'s perspective (park heuristic).
-    fn is_empty_hint(&self, worker: usize) -> bool;
+    /// Emptiness hint from `worker`'s perspective (park heuristic). The
+    /// distributed lanes answer with relaxed loads; the central queue takes
+    /// each band's lock.
+    pub(crate) fn is_empty_hint(&self, worker: usize) -> bool {
+        match self {
+            Queue::Lanes(l) => l.is_empty_hint(worker),
+            Queue::Central(bands) => bands.iter().all(CentralQueue::is_empty),
+        }
+    }
+}
+
+/// A mutex-protected global FIFO with an operation counter: the libGOMP
+/// weight class the paper measures against. Every push and pop pays one
+/// lock acquisition, counted in [`CentralQueue::ops`] — the contention
+/// indicator reported next to the figures. It backs both
+/// [`QueueKind::Central`] and `xkaapi_omp::OmpPool`'s explicit-task queue.
+pub struct CentralQueue<T> {
+    q: Mutex<VecDeque<T>>,
+    ops: AtomicUsize,
+}
+
+impl<T> Default for CentralQueue<T> {
+    fn default() -> Self {
+        CentralQueue::new()
+    }
+}
+
+impl<T> CentralQueue<T> {
+    /// Empty queue.
+    pub fn new() -> CentralQueue<T> {
+        CentralQueue {
+            q: Mutex::new(VecDeque::new()),
+            ops: AtomicUsize::new(0),
+        }
+    }
+
+    /// Append at the tail (one lock acquisition).
+    pub fn push_back(&self, item: T) {
+        self.ops.fetch_add(1, Ordering::Relaxed);
+        self.q.lock().push_back(item);
+    }
+
+    /// Remove from the head (one lock acquisition).
+    pub fn pop_front(&self) -> Option<T> {
+        self.ops.fetch_add(1, Ordering::Relaxed);
+        self.q.lock().pop_front()
+    }
+
+    /// Remove the last item matching `pred` (reverse scan under the lock).
+    pub fn take_last_matching(&self, pred: impl Fn(&T) -> bool) -> Option<T> {
+        self.ops.fetch_add(1, Ordering::Relaxed);
+        let mut q = self.q.lock();
+        let pos = q.iter().rposition(pred)?;
+        q.remove(pos)
+    }
+
+    /// Racy emptiness snapshot. Takes the lock (not counted in
+    /// [`CentralQueue::ops`]), so every idle-loop poll of the central
+    /// queue pays one lock acquisition per band.
+    pub fn is_empty(&self) -> bool {
+        self.q.lock().is_empty()
+    }
+
+    /// Queued items right now.
+    pub fn len(&self) -> usize {
+        self.q.lock().len()
+    }
+
+    /// Lock acquisitions so far — the centralized-design contention metric.
+    pub fn ops(&self) -> usize {
+        self.ops.load(Ordering::Relaxed)
+    }
 }
 
 /// A non-default band's side deque: a mutexed FIFO/LIFO with an atomic
@@ -301,13 +422,13 @@ impl BandedLane {
 /// `side_jobs` on every push and pop, so a packed array (about 144 B per
 /// lane) would bounce a line between neighbouring workers' fast lanes
 /// (`DESIGN.md` §6).
-pub struct DistributedLanes {
+pub(crate) struct DistributedLanes {
     lanes: Box<[CachePadded<BandedLane>]>,
 }
 
 impl DistributedLanes {
     /// One lane per worker.
-    pub fn new(workers: usize) -> DistributedLanes {
+    pub(crate) fn new(workers: usize) -> DistributedLanes {
         DistributedLanes {
             lanes: (0..workers)
                 .map(|_| CachePadded::new(BandedLane::new()))
@@ -316,15 +437,8 @@ impl DistributedLanes {
     }
 }
 
-impl TaskQueue for DistributedLanes {
-    fn name(&self) -> &'static str {
-        "distributed-lanes"
-    }
-
-    fn centralized(&self) -> bool {
-        false
-    }
-
+impl DistributedLanes {
+    #[inline]
     fn push(&self, worker: usize, item: WorkItem) -> Result<(), WorkItem> {
         let band = item.band();
         match item.grab {
@@ -355,6 +469,7 @@ impl TaskQueue for DistributedLanes {
         }
     }
 
+    #[inline]
     fn pop(&self, worker: usize) -> Option<WorkItem> {
         let lane = &self.lanes[worker];
         // Attribute-free fast path: one relaxed load skips both side
@@ -380,7 +495,7 @@ impl TaskQueue for DistributedLanes {
         None
     }
 
-    fn steal(&self, _thief: usize, victim: usize) -> Option<WorkItem> {
+    fn steal(&self, victim: usize) -> Option<WorkItem> {
         let lane = &self.lanes[victim];
         let sided = lane.has_side_jobs();
         // Thief order: high band FIFO, then the default lane's head, low
@@ -403,6 +518,7 @@ impl TaskQueue for DistributedLanes {
         None
     }
 
+    #[inline]
     fn take(&self, worker: usize, token: *mut ()) -> Option<WorkItem> {
         let lane = &self.lanes[worker];
         // Side bands: token scan (joins in these bands nest too, but a
@@ -451,14 +567,14 @@ mod tests {
 
     #[test]
     fn distributed_lanes_route_per_worker() {
-        let q = DistributedLanes::new(2);
+        let q = Queue::new(QueueKind::Distributed, 2);
         assert!(!q.centralized());
         assert!(q.is_empty_hint(0));
         q.push(0, WorkItem::fast(dummy_job(1))).unwrap();
         q.push(0, WorkItem::fast(dummy_job(2))).unwrap();
         assert!(q.pop(1).is_none(), "lanes are per-worker");
         // Thief takes FIFO from the victim's lane.
-        let stolen = q.steal(1, 0).unwrap();
+        let stolen = q.steal(0).unwrap();
         assert_eq!(stolen.token() as usize, 1);
         // Owner takes LIFO.
         let own = q.pop(0).unwrap();
@@ -520,5 +636,50 @@ mod tests {
         assert_eq!(got.band(), 0);
         // The default-band job is still the retractable tail.
         assert_eq!(q.take(0, 8 as *mut ()).unwrap().token() as usize, 8);
+    }
+
+    #[test]
+    fn fifo_order_and_ops_counter() {
+        let q: CentralQueue<u32> = CentralQueue::new();
+        assert!(q.is_empty());
+        q.push_back(1);
+        q.push_back(2);
+        assert_eq!(q.len(), 2);
+        assert_eq!(q.pop_front(), Some(1));
+        assert_eq!(q.pop_front(), Some(2));
+        assert_eq!(q.pop_front(), None);
+        assert_eq!(q.ops(), 5);
+    }
+
+    #[test]
+    fn take_last_matching_removes_in_place() {
+        let q: CentralQueue<u32> = CentralQueue::new();
+        for i in 0..5 {
+            q.push_back(i);
+        }
+        assert_eq!(q.take_last_matching(|&x| x % 2 == 0), Some(4));
+        assert_eq!(q.take_last_matching(|&x| x % 2 == 0), Some(2));
+        assert_eq!(q.len(), 3);
+        assert_eq!(q.pop_front(), Some(0));
+    }
+
+    #[test]
+    fn central_queue_is_shared_banded_and_fifo() {
+        let q = Queue::new(QueueKind::Central, 2);
+        assert!(q.centralized());
+        q.push(0, WorkItem::fast_banded(dummy_job(30), 2)).unwrap();
+        q.push(0, WorkItem::fast(dummy_job(20))).unwrap();
+        q.push(1, WorkItem::fast(dummy_job(21))).unwrap();
+        q.push(1, WorkItem::fast_banded(dummy_job(10), 0)).unwrap();
+        assert!(!q.is_empty_hint(1));
+        // Any worker retracts any job by token; a null token never matches.
+        assert_eq!(q.take(1, 20 as *mut ()).unwrap().token() as usize, 20);
+        assert!(q.take(0, std::ptr::null_mut()).is_none());
+        // High band first, FIFO within a band, low band last — for pops and
+        // steals alike.
+        assert_eq!(q.steal(1).unwrap().token() as usize, 10);
+        assert_eq!(q.pop(0).unwrap().token() as usize, 21);
+        assert_eq!(q.pop(1).unwrap().token() as usize, 30);
+        assert!(q.is_empty_hint(0));
     }
 }

@@ -9,12 +9,12 @@
 //! * the **injection layer** ([`crate::inject`]) is how root jobs enter
 //!   from outside the pool: sharded per-NUMA-node lanes with admission
 //!   control, [`JoinHandle`]s for non-blocking callers;
-//! * the **queue layer** ([`crate::queue::TaskQueue`]) decides where ready
-//!   work lives — per-worker T.H.E. deques by default, or a centralized
-//!   pool (the omp/quark baselines) injected through [`Builder::task_queue`];
-//! * the **steal layer** ([`crate::policy::StealPolicy`]) decides the
-//!   thief-side protocol — flat-combining aggregation by default,
-//!   per-thief steals via [`Builder::steal_policy`];
+//! * the **queue layer** ([`crate::queue`]) decides where ready work
+//!   lives — per-worker T.H.E. deques by default, or one central pool (the
+//!   libGOMP/QUARK baseline) selected with [`Builder::queue`];
+//! * the **steal layer** ([`StealPolicy`]) decides the thief-side
+//!   protocol — flat-combining aggregation by default, per-thief or
+//!   topology-aware steals via [`Builder::steal_policy`];
 //! * the **dependency layer** ([`crate::frame`]) is shared by every policy.
 //!
 //! External callers inject root jobs without parking a thread per scope:
@@ -29,8 +29,8 @@ use crate::handle::{Partitioned, Shared};
 use crate::inject::{
     make_job, InjectLaneStats, InjectLanes, InjectPolicy, JoinHandle, JoinState, SubmitError,
 };
-use crate::policy::{AggregatedStealing, PerThiefStealing, RenamePolicy, StealPolicy};
-use crate::queue::{DistributedLanes, TaskQueue};
+use crate::policy::{RenamePolicy, StealPolicy};
+use crate::queue::{Queue, QueueKind};
 use crate::stats::{self, StatsSnapshot};
 use crate::telemetry::{MetricsRegistry, TelemetryState, TraceSession, WorkerTelemetry};
 use crate::topology::Topology;
@@ -49,12 +49,6 @@ pub struct Tunables {
     pub promotion: PromotionPolicy,
     /// Write-only renaming (WAR/WAW elimination) policy.
     pub rename: RenamePolicy,
-    /// Steal-request aggregation: the elected combiner serves every drained
-    /// request. When `false`, the combiner serves only itself and fails the
-    /// others (they retry), modelling a runtime without flat combining.
-    /// Mirror of the [`StealPolicy`] the runtime was built with; an explicit
-    /// [`Builder::steal_policy`] overrides it.
-    pub aggregation: bool,
     /// Idle rounds of steal attempts before a worker parks.
     pub steal_rounds_before_park: u32,
     /// Park timeout in microseconds: the bound on how long a parked worker
@@ -89,7 +83,6 @@ impl Default for Tunables {
         Tunables {
             promotion: PromotionPolicy::default(),
             rename: RenamePolicy::default(),
-            aggregation: true,
             steal_rounds_before_park: 32,
             park_timeout_us: 500,
             grain_factor: 8,
@@ -125,8 +118,8 @@ impl Default for Tunables {
 /// [`Builder::park_timeout_us`], [`Builder::steal_rounds_before_park`],
 /// [`Builder::max_pending`], [`Builder::inject_policy`],
 /// [`Builder::pin_workers`])
-/// wins over the environment: code that sized auxiliary structures (a
-/// custom [`TaskQueue`], `Reduction::with_slots`) to a requested worker
+/// wins over the environment: code that sized auxiliary structures (e.g.
+/// `Reduction::with_slots`) to a requested worker
 /// count must never be resized from the outside underneath it. Malformed
 /// values are ignored with a one-line warning on stderr.
 pub struct Builder {
@@ -141,8 +134,8 @@ pub struct Builder {
     io_threads_explicit: bool,
     tracing: Option<bool>,
     stack_size: usize,
-    queue: Option<Arc<dyn TaskQueue>>,
-    steal: Option<Arc<dyn StealPolicy>>,
+    queue: QueueKind,
+    steal: StealPolicy,
     topo: Option<Topology>,
     #[cfg(feature = "fault-injection")]
     fault_plan: Option<crate::fault::FaultPlan>,
@@ -162,8 +155,8 @@ impl Default for Builder {
             io_threads_explicit: false,
             tracing: None,
             stack_size: 16 << 20,
-            queue: None,
-            steal: None,
+            queue: QueueKind::default(),
+            steal: StealPolicy::default(),
             topo: None,
             #[cfg(feature = "fault-injection")]
             fault_plan: None,
@@ -227,17 +220,11 @@ impl Builder {
         self
     }
 
-    /// Enable/disable steal-request aggregation. Convenience for selecting
-    /// [`AggregatedStealing`] / [`PerThiefStealing`]; an explicit
-    /// [`Builder::steal_policy`] call wins over this flag.
-    pub fn aggregation(mut self, on: bool) -> Self {
-        self.tun.aggregation = on;
-        self
-    }
-
-    /// Install a thief-side steal protocol (steal layer).
-    pub fn steal_policy(mut self, p: Arc<dyn StealPolicy>) -> Self {
-        self.steal = Some(p);
+    /// Thief-side steal protocol (steal layer). Defaults to
+    /// [`StealPolicy::Aggregated`], the paper's flat combining;
+    /// [`StealPolicy::PerThief`] turns request aggregation off.
+    pub fn steal_policy(mut self, p: StealPolicy) -> Self {
+        self.steal = p;
         self
     }
 
@@ -250,12 +237,12 @@ impl Builder {
         self
     }
 
-    /// Install a ready-work store (queue layer). Defaults to
-    /// [`DistributedLanes`] (one T.H.E. deque per worker). Centralized
-    /// implementations make every paradigm run through one shared pool —
-    /// see `xkaapi_omp::OmpCentralQueue` and `xkaapi_quark::QuarkCentralQueue`.
-    pub fn task_queue(mut self, q: Arc<dyn TaskQueue>) -> Self {
-        self.queue = Some(q);
+    /// Ready-work store (queue layer). Defaults to
+    /// [`QueueKind::Distributed`] (one T.H.E. deque per worker);
+    /// [`QueueKind::Central`] makes every paradigm run through one shared
+    /// pool, the libGOMP/QUARK baseline.
+    pub fn queue(mut self, kind: QueueKind) -> Self {
+        self.queue = kind;
         self
     }
 
@@ -431,14 +418,6 @@ impl Builder {
                     .map(|n| n.get())
                     .unwrap_or(1)
             });
-        let queue = self
-            .queue
-            .unwrap_or_else(|| Arc::new(DistributedLanes::new(nworkers)));
-        let steal_pol: Arc<dyn StealPolicy> = match self.steal {
-            Some(p) => p,
-            None if tun.aggregation => Arc::new(AggregatedStealing),
-            None => Arc::new(PerThiefStealing),
-        };
         let topo = match self.topo {
             Some(t) => {
                 assert_eq!(
@@ -470,8 +449,8 @@ impl Builder {
             park_lot: ParkLot::new(),
             shutdown: AtomicBool::new(false),
             tun,
-            queue,
-            steal_pol,
+            queue: Queue::new(self.queue, nworkers),
+            steal_pol: self.steal,
             topo,
             threads: Mutex::new(Vec::new()),
             tracks,
@@ -513,9 +492,9 @@ pub(crate) struct RtInner {
     pub(crate) shutdown: AtomicBool,
     pub(crate) tun: Tunables,
     /// Queue layer: where ready work lives.
-    pub(crate) queue: Arc<dyn TaskQueue>,
+    pub(crate) queue: Queue,
     /// Steal layer: the thief-side protocol.
-    pub(crate) steal_pol: Arc<dyn StealPolicy>,
+    pub(crate) steal_pol: StealPolicy,
     /// Machine topology consulted by topology-aware steal policies.
     pub(crate) topo: Topology,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,

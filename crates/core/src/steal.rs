@@ -14,10 +14,11 @@
 //! at a time — the synchronisation contract the adaptive model relies on.
 //!
 //! *Which* victim a thief probes, how many drained requests a combiner
-//! serves per pass and in what order are all delegated to the
-//! [`StealPolicy`](crate::StealPolicy) (topology-aware victim selection,
-//! bounded near-first batches — DESIGN.md §3); requests beyond a bounded
-//! batch are re-queued onto the victim's stack while it still has work.
+//! serves per pass and in what order are all decided by the runtime's
+//! [`StealPolicy`](crate::StealPolicy) value (topology-aware victim
+//! selection, bounded near-first batches — DESIGN.md §3); requests beyond a
+//! bounded batch are re-queued onto the victim's stack while it still has
+//! work.
 
 use crate::ctx::execute_task_at;
 use crate::frame::Frame;
@@ -143,7 +144,7 @@ fn serve(
     // 0. Queue layer: the victim's share of the ready-work store (fork-join
     // lane under DistributedLanes, the shared pool under a central queue).
     while grabs.len() < k {
-        match rt.queue.steal(reqs[grabs.len()].thief, victim_idx) {
+        match rt.queue.steal(victim_idx) {
             Some(item) => grabs.push(item.into_grab()),
             None => break,
         }
@@ -291,14 +292,9 @@ pub(crate) fn try_steal_once(rt: &Arc<RtInner>, me: usize) -> Option<Grab> {
         rt.steal_pol
             .choose_victim(me, &mut rng, &rt.topo, my.fail_streak())
     };
-    let v = if choice.victim == me || choice.victim >= p {
-        // Defensive against misbehaving external policies: fall back to a
-        // uniform legal victim rather than stealing from ourselves.
-        debug_assert!(false, "policy chose an invalid victim {}", choice.victim);
-        crate::policy::uniform_victim(me, p, &mut || my.next_rand())
-    } else {
-        choice.victim
-    };
+    let v = choice.victim;
+    // Every policy picks a legal victim (`policy::tests` sweeps them all).
+    debug_assert!(v != me && v < p, "policy chose an invalid victim {v}");
     if choice.escalated {
         WorkerStats::bump(&my.stats.victim_escalations, 1);
     }

@@ -515,7 +515,10 @@ fn partitioned_keyed_tiles() {
 
 #[test]
 fn aggregation_can_be_disabled() {
-    let rt = Runtime::builder().workers(4).aggregation(false).build();
+    let rt = Runtime::builder()
+        .workers(4)
+        .steal_policy(StealPolicy::PerThief)
+        .build();
     let s = rt.foreach_reduce(
         0..50_000,
         Some(16),
@@ -656,7 +659,7 @@ fn deeply_nested_scopes() {
 fn builder_exposes_tunables() {
     let rt = Runtime::builder()
         .workers(2)
-        .aggregation(false)
+        .steal_policy(StealPolicy::PerThief)
         .grain_factor(4)
         .promotion(PromotionPolicy {
             enabled: false,
@@ -666,7 +669,7 @@ fn builder_exposes_tunables() {
         .stack_size(4 << 20)
         .build();
     let t = rt.tunables();
-    assert!(!t.aggregation);
+    assert_eq!(rt.steal_policy_name(), "per-thief");
     assert_eq!(t.grain_factor, 4);
     assert!(!t.promotion.enabled);
     assert_eq!(t.promotion.promote_len, 5);
@@ -866,4 +869,38 @@ fn mixed_fastlane_and_dataflow_in_one_scope() {
     });
     assert_eq!(total, (0..20).map(|i| 3 * i).sum::<u64>());
     assert_eq!(*h.get(), (0..20).sum::<u64>());
+}
+
+#[test]
+fn engine_runs_dataflow_through_central_queue() {
+    let rt = Runtime::builder()
+        .workers(3)
+        .queue(QueueKind::Central)
+        .build();
+    assert_eq!(rt.queue_name(), "central");
+    // Data-flow chain: sequential semantics must survive centralization.
+    let h = Shared::new(0u64);
+    rt.scope(|ctx| {
+        for _ in 0..100 {
+            let hw = h.clone();
+            ctx.spawn([h.exclusive()], move |t| *t.write(&hw) += 1);
+        }
+    });
+    assert_eq!(*h.get(), 100);
+    // Fork-join through the same shared queue.
+    let hits = AtomicUsize::new(0);
+    rt.scope(|ctx| {
+        ctx.join(
+            |_| hits.fetch_add(1, Ordering::Relaxed),
+            |_| hits.fetch_add(1, Ordering::Relaxed),
+        );
+    });
+    assert_eq!(hits.load(Ordering::Relaxed), 2);
+    let crate::queue::Queue::Central(bands) = &rt.inner.queue else {
+        panic!("built with QueueKind::Central");
+    };
+    assert!(
+        bands.iter().map(CentralQueue::ops).sum::<usize>() > 0,
+        "work actually flowed through the central queue"
+    );
 }

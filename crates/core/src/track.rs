@@ -25,10 +25,10 @@
 //!
 //! Track threads are not workers: they own no T.H.E. deque, no steal
 //! `Request` node and no worker telemetry ring. Code that executes on
-//! them runs under a *detached* [`RawCtx`] (syncs spin-wait instead of
+//! them runs under a *detached* task context (syncs spin-wait instead of
 //! stealing, fork-joins run inline) and emits to the track's own
-//! telemetry lane via the thread-local registered in
-//! [`crate::telemetry::set_track_lane`].
+//! telemetry lane via a thread-local registered when the track thread
+//! starts.
 
 use crate::access::HandleId;
 use crate::attrs::{Track, NORMAL_BAND, PRIORITY_BANDS};

@@ -21,9 +21,6 @@
 #![warn(missing_docs)]
 
 pub mod barrier;
-pub mod queue;
-
-pub use queue::{CentralQueue, OmpCentralQueue};
 
 use barrier::CentralBarrier;
 use parking_lot::{Condvar, Mutex};
@@ -31,6 +28,7 @@ use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
+use xkaapi_core::CentralQueue;
 
 /// Worksharing loop schedule (the `schedule(...)` clause).
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -75,7 +73,7 @@ struct Inner {
     region_cv: Condvar,
     gen: AtomicUsize,
     /// Centralized task queue (the QUARK/libGOMP-style contention point),
-    /// the same structure [`queue::OmpCentralQueue`] exposes to the engine.
+    /// the same structure the engine's `QueueKind::Central` is built on.
     tasks: CentralQueue<TaskNode>,
     tasks_inflight: AtomicUsize,
     barrier: CentralBarrier,

@@ -27,11 +27,10 @@ pub use xkaapi_skyline as skyline;
 #[cfg(feature = "fault-injection")]
 pub use xkaapi_core::FaultPlan;
 pub use xkaapi_core::{
-    Access, AccessMode, Affinity, AggregatedStealing, Builder, CancelToken, Ctx, DataflowEngine,
-    DistanceMatrix, DistributedLanes, HandleId, HierarchicalVictim, JobBuilder, LocalityFirst,
-    Partitioned, PerThiefStealing, Priority, PromotionPolicy, RecCtx, RecordStats, RecordedDag,
-    Reduction, Region, RenamePolicy, ReplayTrace, Runtime, Shared, StatsSnapshot, StealPolicy,
-    SubmitError, TaskAttrs, TaskBuilder, TaskQueue, Topology, Track, TrackEngine, Tunables,
-    UniformVictim, VictimChoice, WorkItem,
+    Access, AccessMode, Affinity, Builder, CancelToken, Ctx, DataflowEngine, DistanceMatrix,
+    HandleId, JobBuilder, Partitioned, Priority, PromotionPolicy, QueueKind, RecCtx, RecordStats,
+    RecordedDag, Reduction, Region, RenamePolicy, ReplayTrace, Runtime, Shared, StatsSnapshot,
+    StealPolicy, SubmitError, TaskAttrs, TaskBuilder, Topology, Track, TrackEngine, Tunables,
+    VictimChoice,
 };
 pub use xkaapi_core::{JoinHandle, OffloadTunables};

@@ -26,10 +26,8 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 use xkaapi::core::{
-    AggregatedStealing, CancelToken, Ctx, FaultPlan, PerThiefStealing, Runtime, Shared,
-    StatsSnapshot, StealPolicy, TaskQueue,
+    CancelToken, Ctx, FaultPlan, QueueKind, Runtime, Shared, StatsSnapshot, StealPolicy,
 };
-use xkaapi::omp::OmpCentralQueue;
 
 const FIXED_SEEDS: [u64; 3] = [42, 0xdead_beef, 20260808];
 
@@ -48,20 +46,22 @@ fn seeds() -> Vec<u64> {
 
 /// Build one of the four queue×steal policy combinations.
 fn build_rt(combo: usize, workers: usize, plan: FaultPlan) -> Runtime {
-    let steal: Arc<dyn StealPolicy> = if combo.is_multiple_of(2) {
-        Arc::new(AggregatedStealing)
+    let steal = if combo.is_multiple_of(2) {
+        StealPolicy::Aggregated
     } else {
-        Arc::new(PerThiefStealing)
+        StealPolicy::PerThief
     };
-    let mut b = Runtime::builder()
+    let queue = if combo >= 2 {
+        QueueKind::Central
+    } else {
+        QueueKind::Distributed
+    };
+    Runtime::builder()
         .workers(workers)
         .steal_policy(steal)
-        .fault_plan(plan);
-    if combo >= 2 {
-        let q: Arc<dyn TaskQueue> = Arc::new(OmpCentralQueue::new());
-        b = b.task_queue(q);
-    }
-    b.build()
+        .queue(queue)
+        .fault_plan(plan)
+        .build()
 }
 
 const COMBO_NAMES: [&str; 4] = [

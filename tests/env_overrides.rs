@@ -104,8 +104,8 @@ fn env_vars_override_defaults_but_not_explicit_settings() {
     assert_eq!(s, 499_500);
     drop(rt);
 
-    // …but never explicit calls: sized-to-request structures (custom
-    // DistributedLanes, Reduction::with_slots) rely on this.
+    // …but never explicit calls: sized-to-request structures
+    // (Reduction::with_slots) rely on this.
     let rt = Runtime::builder()
         .workers(2)
         .grain_factor(5)

@@ -12,11 +12,7 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use xkaapi::core::{
-    AggregatedStealing, CancelToken, PerThiefStealing, Priority, Runtime, Shared, StealPolicy,
-    SubmitError, TaskQueue,
-};
-use xkaapi::omp::OmpCentralQueue;
+use xkaapi::core::{CancelToken, Priority, QueueKind, Runtime, Shared, StealPolicy, SubmitError};
 
 /// Spin-wait (with yields) until `cond` holds, panicking after `secs`.
 fn wait_until(secs: u64, what: &str, cond: impl Fn() -> bool) {
@@ -28,36 +24,31 @@ fn wait_until(secs: u64, what: &str, cond: impl Fn() -> bool) {
 }
 
 /// The four scheduler policy combinations (queue layer × steal layer).
-#[allow(clippy::type_complexity)]
 fn all_policies(workers: usize) -> Vec<(&'static str, Runtime)> {
-    let combos: Vec<(
-        &'static str,
-        Option<Arc<dyn TaskQueue>>,
-        Arc<dyn StealPolicy>,
-    )> = vec![
-        ("dist+agg", None, Arc::new(AggregatedStealing)),
-        ("dist+perthief", None, Arc::new(PerThiefStealing)),
+    [
+        ("dist+agg", QueueKind::Distributed, StealPolicy::Aggregated),
         (
-            "central+agg",
-            Some(Arc::new(OmpCentralQueue::new())),
-            Arc::new(AggregatedStealing),
+            "dist+perthief",
+            QueueKind::Distributed,
+            StealPolicy::PerThief,
         ),
+        ("central+agg", QueueKind::Central, StealPolicy::Aggregated),
         (
             "central+perthief",
-            Some(Arc::new(OmpCentralQueue::new())),
-            Arc::new(PerThiefStealing),
+            QueueKind::Central,
+            StealPolicy::PerThief,
         ),
-    ];
-    combos
-        .into_iter()
-        .map(|(name, q, s)| {
-            let mut b = Runtime::builder().workers(workers).steal_policy(s);
-            if let Some(q) = q {
-                b = b.task_queue(q);
-            }
-            (name, b.build())
-        })
-        .collect()
+    ]
+    .into_iter()
+    .map(|(name, q, s)| {
+        let rt = Runtime::builder()
+            .workers(workers)
+            .queue(q)
+            .steal_policy(s)
+            .build();
+        (name, rt)
+    })
+    .collect()
 }
 
 /// A task-body panic under every queue×steal policy: the panic re-raises

@@ -17,10 +17,7 @@
 //! the *result* equality is asserted on every round unconditionally.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use xkaapi::core::{
-    HierarchicalVictim, LocalityFirst, Runtime, Shared, StealPolicy, Topology, UniformVictim,
-};
+use xkaapi::core::{QueueKind, Runtime, Shared, StealPolicy, Topology};
 
 const WORKERS: usize = 8;
 const CHAINS: usize = 32;
@@ -75,11 +72,11 @@ fn expected_chain() -> u64 {
 fn aggregation_on_off_identical_results_with_combiner_activity() {
     let rt_on = Runtime::builder()
         .workers(WORKERS)
-        .aggregation(true)
+        .steal_policy(StealPolicy::Aggregated)
         .build();
     let rt_off = Runtime::builder()
         .workers(WORKERS)
-        .aggregation(false)
+        .steal_policy(StealPolicy::PerThief)
         .build();
     assert_eq!(rt_on.steal_policy_name(), "aggregated");
     assert_eq!(rt_off.steal_policy_name(), "per-thief");
@@ -167,28 +164,28 @@ fn topology_aware_stealing_preserves_results_under_stress() {
     // Tiny bounded batches (max_batch: 2 on 8 workers) force the overflow
     // re-queue path constantly; an aggressive escalation threshold forces
     // both the local-only and machine-wide victim regimes.
-    let policies: [(&str, Arc<dyn StealPolicy>); 4] = [
-        ("uniform", Arc::new(UniformVictim)),
+    let policies = [
+        ("uniform", StealPolicy::Aggregated),
         (
             "hierarchical",
-            Arc::new(HierarchicalVictim {
+            StealPolicy::Hierarchical {
                 escalate_after: 2,
                 max_batch: 2,
-            }),
+            },
         ),
         (
             "locality-first",
-            Arc::new(LocalityFirst {
+            StealPolicy::LocalityFirst {
                 escalate_after: 2,
                 max_batch: 2,
-            }),
+            },
         ),
         (
             "hierarchical-wide",
-            Arc::new(HierarchicalVictim {
+            StealPolicy::Hierarchical {
                 escalate_after: 64,
                 max_batch: usize::MAX,
-            }),
+            },
         ),
     ];
     for (label, pol) in policies {
@@ -213,35 +210,22 @@ fn topology_aware_stealing_preserves_results_under_stress() {
     }
 }
 
-/// The same stress shape through the engine's centralized queues: results
-/// must match the distributed runs too (the cross-policy acceptance gate).
+/// The same stress shape through the engine's central queue: results must
+/// match the distributed runs too (the cross-policy acceptance gate).
 #[test]
 fn centralized_queues_agree_under_stress() {
     let rt = Runtime::builder().workers(WORKERS).build();
     let (reference, wide_ref) = run_workload(&rt);
     assert!(reference.iter().all(|&c| c == expected_chain()));
 
-    for (label, queue) in [
-        (
-            "omp",
-            std::sync::Arc::new(xkaapi::omp::OmpCentralQueue::new())
-                as std::sync::Arc<dyn xkaapi::core::TaskQueue>,
-        ),
-        (
-            "quark",
-            std::sync::Arc::new(xkaapi::quark::QuarkCentralQueue::new())
-                as std::sync::Arc<dyn xkaapi::core::TaskQueue>,
-        ),
-    ] {
-        let rt_c = Runtime::builder()
-            .workers(WORKERS)
-            .task_queue(queue)
-            .build();
-        let (chains, wide) = run_workload(&rt_c);
-        assert_eq!(chains, reference, "central-{label} diverged on chains");
-        assert_eq!(
-            wide, wide_ref,
-            "central-{label} diverged on independent tasks"
-        );
-    }
+    let rt_c = Runtime::builder()
+        .workers(WORKERS)
+        .queue(QueueKind::Central)
+        .build();
+    let (chains, wide) = run_workload(&rt_c);
+    assert_eq!(chains, reference, "central queue diverged on chains");
+    assert_eq!(
+        wide, wide_ref,
+        "central queue diverged on independent tasks"
+    );
 }

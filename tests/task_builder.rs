@@ -8,10 +8,8 @@ use std::sync::Arc;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 use xkaapi::core::{
-    Affinity, InjectPolicy, OnFull, Priority, Runtime, Shared, TaskQueue, Topology,
+    Affinity, InjectPolicy, OnFull, Priority, QueueKind, Runtime, Shared, StealPolicy, Topology,
 };
-use xkaapi::omp::OmpCentralQueue;
-use xkaapi::quark::QuarkCentralQueue;
 
 fn wait_until(secs: u64, what: &str, cond: impl Fn() -> bool) {
     let t0 = Instant::now();
@@ -65,35 +63,32 @@ fn builder_join_runs_both_branches() {
 /// before every normal one before every low one, FIFO within a band.
 #[test]
 fn high_band_drains_before_low_on_a_single_worker() {
-    let queues: Vec<(&str, Arc<dyn TaskQueue>)> = vec![
-        ("central-omp", Arc::new(OmpCentralQueue::new())),
-        ("central-quark", Arc::new(QuarkCentralQueue::new())),
-    ];
-    for (name, queue) in queues {
-        let rt = Runtime::builder().workers(1).task_queue(queue).build();
-        let order: Mutex<Vec<(Priority, u64)>> = Mutex::new(Vec::new());
-        rt.scope(|ctx| {
-            let order = &order;
-            // Spawn interleaved: low, normal, high, low, normal, high, …
-            for i in 0..8u64 {
-                for prio in [Priority::Low, Priority::Normal, Priority::High] {
-                    ctx.task().priority(prio).spawn(move |_| {
-                        order.lock().unwrap().push((prio, i));
-                    });
-                }
+    let rt = Runtime::builder()
+        .workers(1)
+        .queue(QueueKind::Central)
+        .build();
+    let order: Mutex<Vec<(Priority, u64)>> = Mutex::new(Vec::new());
+    rt.scope(|ctx| {
+        let order = &order;
+        // Spawn interleaved: low, normal, high, low, normal, high, …
+        for i in 0..8u64 {
+            for prio in [Priority::Low, Priority::Normal, Priority::High] {
+                ctx.task().priority(prio).spawn(move |_| {
+                    order.lock().unwrap().push((prio, i));
+                });
             }
-        });
-        let order = order.into_inner().unwrap();
-        assert_eq!(order.len(), 24, "{name}");
-        let expect: Vec<(Priority, u64)> = Priority::ALL
-            .iter()
-            .flat_map(|&p| (0..8u64).map(move |i| (p, i)))
-            .collect();
-        assert_eq!(
-            order, expect,
-            "{name}: bands must drain high→normal→low, FIFO within a band"
-        );
-    }
+        }
+    });
+    let order = order.into_inner().unwrap();
+    assert_eq!(order.len(), 24);
+    let expect: Vec<(Priority, u64)> = Priority::ALL
+        .iter()
+        .flat_map(|&p| (0..8u64).map(move |i| (p, i)))
+        .collect();
+    assert_eq!(
+        order, expect,
+        "bands must drain high→normal→low, FIFO within a band"
+    );
 }
 
 /// Root jobs queued while the only worker is busy drain band-major from
@@ -360,28 +355,19 @@ fn default_and_attributed_lowering_agree_everywhere() {
         }
     }
 
-    let mk_queues = || -> Vec<(&'static str, Option<Arc<dyn TaskQueue>>)> {
-        vec![
-            ("distributed", None),
-            ("central-omp", Some(Arc::new(OmpCentralQueue::new()))),
-            ("central-quark", Some(Arc::new(QuarkCentralQueue::new()))),
-        ]
-    };
-
     let mut reference = None;
-    for (qname, queue) in mk_queues() {
-        for aggregation in [true, false] {
-            let queue = queue.clone();
-            let build = |q: Option<Arc<dyn TaskQueue>>| {
-                let mut b = Runtime::builder().workers(3).aggregation(aggregation);
-                if let Some(q) = q {
-                    b = b.task_queue(q);
-                }
-                b.build()
+    for queue in [QueueKind::Distributed, QueueKind::Central] {
+        for steal in [StealPolicy::Aggregated, StealPolicy::PerThief] {
+            let build = || {
+                Runtime::builder()
+                    .workers(3)
+                    .queue(queue)
+                    .steal_policy(steal)
+                    .build()
             };
-            let tag = format!("{qname}/agg={aggregation}");
+            let tag = format!("{queue:?}/{}", steal.name());
 
-            let rt = build(queue.clone());
+            let rt = build();
             let fast = workload(&rt, false);
             assert_eq!(
                 rt.stats().tasks_with_attrs,
@@ -390,7 +376,7 @@ fn default_and_attributed_lowering_agree_everywhere() {
             );
             drop(rt);
 
-            let rt = build(queue);
+            let rt = build();
             let slow = workload(&rt, true);
             assert!(
                 rt.stats().tasks_with_attrs >= CHAIN + WIDE,

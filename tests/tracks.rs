@@ -21,11 +21,7 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Condvar, Mutex};
-use xkaapi::core::{
-    AggregatedStealing, CancelToken, PerThiefStealing, Runtime, Shared, StealPolicy, TaskQueue,
-    Track,
-};
-use xkaapi::omp::OmpCentralQueue;
+use xkaapi::core::{CancelToken, QueueKind, Runtime, Shared, StealPolicy, Track};
 
 const COMBO_NAMES: [&str; 4] = [
     "dist+agg",
@@ -38,20 +34,22 @@ const COMBO_NAMES: [&str; 4] = [
 /// engine (1 µs launch latency keeps the suite quick; the batching and
 /// completion paths are identical).
 fn build_rt(combo: usize, workers: usize) -> Runtime {
-    let steal: Arc<dyn StealPolicy> = if combo.is_multiple_of(2) {
-        Arc::new(AggregatedStealing)
+    let steal = if combo.is_multiple_of(2) {
+        StealPolicy::Aggregated
     } else {
-        Arc::new(PerThiefStealing)
+        StealPolicy::PerThief
     };
-    let mut b = Runtime::builder()
+    let queue = if combo >= 2 {
+        QueueKind::Central
+    } else {
+        QueueKind::Distributed
+    };
+    Runtime::builder()
         .workers(workers)
         .steal_policy(steal)
-        .offload_launch_latency_us(1);
-    if combo >= 2 {
-        let q: Arc<dyn TaskQueue> = Arc::new(OmpCentralQueue::new());
-        b = b.task_queue(q);
-    }
-    b.build()
+        .queue(queue)
+        .offload_launch_latency_us(1)
+        .build()
 }
 
 /// Dataflow wavefront with every task routed to `track`: an n×n grid

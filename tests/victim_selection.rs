@@ -5,15 +5,16 @@
 //! 1. **Per pick**: [`StealPolicy::choose_victim`] is a pure function
 //!    of `(me, rng, topology, fail_streak)`, so a seeded xorshift closure
 //!    makes the policies' selection behaviour exactly checkable —
-//!    [`HierarchicalVictim`] stays on the thief's node below the
+//!    [`StealPolicy::Hierarchical`] stays on the thief's node below the
 //!    escalation threshold and goes machine-wide (flagged `escalated`)
-//!    above it; [`LocalityFirst`] concentrates picks on the nearest ring.
+//!    above it; [`StealPolicy::LocalityFirst`] concentrates picks on the
+//!    nearest ring.
 //! 2. **Scripted thieves**: replaying a fixed sequence of fail streaks for
 //!    every worker of a modelled 2-node topology, the hierarchical policy
 //!    lands a strictly larger share of same-node picks than the uniform
 //!    baseline. A real steal race would make this share depend on timing.
 
-use xkaapi::core::{HierarchicalVictim, LocalityFirst, StealPolicy, Topology, UniformVictim};
+use xkaapi::core::{StealPolicy, Topology};
 
 /// Seeded xorshift64* closure: the same seed replays the same choices.
 fn seeded_rng(mut x: u64) -> impl FnMut() -> u64 {
@@ -28,7 +29,7 @@ fn seeded_rng(mut x: u64) -> impl FnMut() -> u64 {
 #[test]
 fn hierarchical_prefers_same_node_then_escalates() {
     let topo = Topology::two_level(8, 4); // nodes {0..3} and {4..7}
-    let pol = HierarchicalVictim {
+    let pol = StealPolicy::Hierarchical {
         escalate_after: 4,
         max_batch: 8,
     };
@@ -77,7 +78,7 @@ fn hierarchical_alone_on_node_goes_machine_wide_unflagged() {
     // Worker 6 is alone on node 2: no local victim exists, so machine-wide
     // picks are not counted as escalations (nothing was skipped).
     let topo = Topology::two_level(7, 3);
-    let pol = HierarchicalVictim::default();
+    let pol = StealPolicy::hierarchical();
     let mut rng = seeded_rng(99);
     for _ in 0..100 {
         let c = pol.choose_victim(6, &mut rng, &topo, 0);
@@ -89,7 +90,7 @@ fn hierarchical_alone_on_node_goes_machine_wide_unflagged() {
 #[test]
 fn locality_first_concentrates_on_nearest_ring() {
     let topo = Topology::two_level(8, 4);
-    let pol = LocalityFirst::default();
+    let pol = StealPolicy::locality_first();
     let mut rng = seeded_rng(0x5EED);
     let (mut local, mut remote) = (0u32, 0u32);
     for _ in 0..1000 {
@@ -125,7 +126,7 @@ fn uniform_covers_all_victims_without_escalating() {
     let mut rng = seeded_rng(3);
     let mut seen = [false; 8];
     for _ in 0..500 {
-        let c = UniformVictim.choose_victim(2, &mut rng, &topo, 10);
+        let c = StealPolicy::Aggregated.choose_victim(2, &mut rng, &topo, 10);
         assert_ne!(c.victim, 2);
         assert!(!c.escalated);
         seen[c.victim] = true;
@@ -136,14 +137,14 @@ fn uniform_covers_all_victims_without_escalating() {
 
 /// Scripted thief behaviour: each entry is one acquisition episode, the
 /// number of failed probes before the hit that resets the fail streak.
-/// Mixes short runs (below `HierarchicalVictim`'s escalation threshold of
+/// Mixes short runs (below the hierarchical policy's escalation threshold of
 /// 4) with dry-node runs that escalate machine-wide.
 const FAIL_RUNS: [u32; 12] = [0, 1, 0, 2, 6, 0, 1, 3, 9, 0, 4, 1];
 
 /// Replay [`FAIL_RUNS`] for every thief of `topo` — one victim pick per
 /// probe, at the streak the thief has when it makes it — with a seeded rng,
 /// and count the `(same-node, remote)` picks.
-fn scripted_picks(pol: &dyn StealPolicy, topo: &Topology, seed: u64) -> (u32, u32) {
+fn scripted_picks(pol: StealPolicy, topo: &Topology, seed: u64) -> (u32, u32) {
     let mut rng = seeded_rng(seed);
     let (mut local, mut remote) = (0u32, 0u32);
     for _ in 0..20 {
@@ -167,8 +168,8 @@ fn scripted_picks(pol: &dyn StealPolicy, topo: &Topology, seed: u64) -> (u32, u3
 #[test]
 fn hierarchical_lands_more_same_node_steals_than_uniform() {
     let topo = Topology::two_level(8, 4); // nodes {0..3} and {4..7}
-    let (ul, ur) = scripted_picks(&UniformVictim, &topo, 0x5EED_CAFE);
-    let (hl, hr) = scripted_picks(&HierarchicalVictim::default(), &topo, 0x5EED_CAFE);
+    let (ul, ur) = scripted_picks(StealPolicy::Aggregated, &topo, 0x5EED_CAFE);
+    let (hl, hr) = scripted_picks(StealPolicy::hierarchical(), &topo, 0x5EED_CAFE);
     let ratio = |l: u32, r: u32| l as f64 / (l + r) as f64;
     assert!(
         ratio(hl, hr) > ratio(ul, ur),
