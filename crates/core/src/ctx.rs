@@ -206,35 +206,35 @@ impl<'rt> RawCtx<'rt> {
                     // help loop drains the inject lanes the completion
                     // arrives on).
                     if !t.is_done() {
-                        if self.detached {
-                            wait_detached(|| t.is_done());
-                        } else {
-                            help_until(rt, widx, Some(&frame), || t.is_done());
-                        }
+                        self.wait_until(&frame, || t.is_done());
                     }
                 } else if t.state() == ST_DONE {
                     frame.advance_cursor();
                 } else {
                     // Stolen and in flight: suspend, help elsewhere.
-                    if self.detached {
-                        wait_detached(|| t.is_done());
-                    } else {
-                        help_until(rt, widx, Some(&frame), || t.is_done());
-                    }
+                    self.wait_until(&frame, || t.is_done());
                     frame.advance_cursor();
                 }
             } else if frame.pending() == 0 {
                 break;
-            } else if self.detached {
-                // All claimed, some still running on thieves.
-                wait_detached(|| frame.pending() == 0);
             } else {
                 // All claimed, some still running on thieves.
-                help_until(rt, widx, Some(&frame), || frame.pending() == 0);
+                self.wait_until(&frame, || frame.pending() == 0);
             }
         }
         if let Some(p) = frame.take_panic() {
             resume_unwind(p);
+        }
+    }
+
+    /// Suspend the owner until `done()` holds: a worker context helps
+    /// (own `frame` first, then steals and inject drains), a detached one
+    /// spin-waits.
+    fn wait_until(&self, frame: &Arc<Frame>, done: impl Fn() -> bool) {
+        if self.detached {
+            wait_detached(done);
+        } else {
+            help_until(self.rt, self.widx, Some(frame), done);
         }
     }
 
@@ -308,18 +308,8 @@ pub(crate) fn execute_claimed(
         complete_and_publish(rt, widx, frame, idx, &task);
         return;
     }
-    // Cancelled cone: elide the body, keep the dataflow honest.
-    if task.attrs.is_cancelled() {
-        let _ = task.take_body();
-        WorkerStats::bump(&stats.tasks_cancelled, 1);
-        crate::telemetry::emit_current(
-            rt,
-            widx,
-            crate::telemetry::EventKind::Cancel,
-            task.attrs.band(),
-            idx as u32,
-        );
-        complete_and_publish(rt, widx, frame, idx, &task);
+    // Cancelled cone: elide the body before any engine sees the task.
+    if skip_cancelled(rt, widx, frame, idx, &task) {
         return;
     }
     // Track routing (`DESIGN.md` §10): non-CPU tasks hand off to their
@@ -349,21 +339,10 @@ pub(crate) fn run_claimed_body(
     idx: usize,
     task: Arc<Task>,
 ) {
-    let stats = &rt.workers[widx].stats;
     // Re-check cancellation: the token may have been cancelled while the
     // task sat in a track engine's queue (a no-op on the inline CPU path,
     // where `execute_claimed` checked moments ago).
-    if task.attrs.is_cancelled() {
-        let _ = task.take_body();
-        WorkerStats::bump(&stats.tasks_cancelled, 1);
-        crate::telemetry::emit_current(
-            rt,
-            widx,
-            crate::telemetry::EventKind::Cancel,
-            task.attrs.band(),
-            idx as u32,
-        );
-        complete_and_publish(rt, widx, frame, idx, &task);
+    if skip_cancelled(rt, widx, frame, idx, &task) {
         return;
     }
     let body = task.take_body();
@@ -411,7 +390,7 @@ pub(crate) fn run_claimed_body(
     if res.is_err() {
         // Only a body panic counts: a finish-side error is a child's panic
         // propagating, and the child already counted itself.
-        WorkerStats::bump(&stats.tasks_panicked, 1);
+        WorkerStats::bump(&rt.workers[widx].stats.tasks_panicked, 1);
     }
     // Record the failure *before* `complete()` publishes ST_DONE: an owner
     // may observe `pending == 0` immediately after and must find both the
@@ -424,6 +403,31 @@ pub(crate) fn run_claimed_body(
         _ => {}
     }
     complete_and_publish(rt, widx, frame, idx, &task);
+}
+
+/// Cancelled task: drop the body unrun but satisfy every dataflow
+/// obligation. Returns `false`, doing nothing, when the token is live.
+fn skip_cancelled(
+    rt: &Arc<RtInner>,
+    widx: usize,
+    frame: &Arc<Frame>,
+    idx: usize,
+    task: &Task,
+) -> bool {
+    if !task.attrs.is_cancelled() {
+        return false;
+    }
+    let _ = task.take_body();
+    WorkerStats::bump(&rt.workers[widx].stats.tasks_cancelled, 1);
+    crate::telemetry::emit_current(
+        rt,
+        widx,
+        crate::telemetry::EventKind::Cancel,
+        task.attrs.band(),
+        idx as u32,
+    );
+    complete_and_publish(rt, widx, frame, idx, task);
+    true
 }
 
 /// Spin-wait for a detached (track-thread) context: no stealing, no inject
@@ -464,11 +468,8 @@ pub(crate) fn execute_task_at(
     frame: &Arc<Frame>,
     idx: usize,
     task: Arc<Task>,
-    stolen: bool,
 ) {
-    if stolen {
-        WorkerStats::bump(&rt.workers[widx].stats.tasks_executed_stolen, 1);
-    }
+    WorkerStats::bump(&rt.workers[widx].stats.tasks_executed_stolen, 1);
     execute_claimed(rt, widx, frame, idx, task);
 }
 
@@ -484,7 +485,7 @@ pub(crate) fn help_until(
     while !done() {
         if let Some(frame) = own {
             if let Some((idx, t)) = frame.pop_ready_owner() {
-                execute_task_at(rt, widx, frame, idx, t, true);
+                execute_task_at(rt, widx, frame, idx, t);
                 rt.workers[widx].reset_fail_streak();
                 backoff.reset();
                 continue;

@@ -104,7 +104,7 @@ mod steal;
 mod task;
 pub mod telemetry;
 pub mod topology;
-pub mod track;
+mod track;
 mod worker;
 
 pub use access::{Access, AccessMode, HandleId, Region};
@@ -127,7 +127,7 @@ pub use telemetry::{
     TraceSession,
 };
 pub use topology::{DistanceMatrix, Topology};
-pub use track::{OffloadTunables, TrackEngine};
+pub use track::OffloadTunables;
 
 #[cfg(test)]
 mod tests;

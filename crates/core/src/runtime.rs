@@ -22,7 +22,7 @@
 //! [`Runtime::scope`] is submit followed by an immediate wait.
 
 use crate::access::Access;
-use crate::attrs::{Affinity, CancelToken, Priority, TaskAttrs, NORMAL_BAND};
+use crate::attrs::{Affinity, CancelToken, Priority, TaskAttrs, NORMAL_BAND, PRIORITY_BANDS};
 use crate::ctx::{Ctx, RawCtx};
 use crate::frame::PromotionPolicy;
 use crate::handle::{Partitioned, Shared};
@@ -32,9 +32,9 @@ use crate::inject::{
 use crate::policy::{RenamePolicy, StealPolicy};
 use crate::queue::{Queue, QueueKind};
 use crate::stats::{self, StatsSnapshot};
-use crate::telemetry::{MetricsRegistry, TelemetryState, TraceSession, WorkerTelemetry};
+use crate::telemetry::{EventKind, MetricsRegistry, TelemetryState, TraceSession, WorkerTelemetry};
 use crate::topology::Topology;
-use crate::track::{OffloadTunables, Tracks};
+use crate::track::{IoWork, OffloadTunables, Tracks};
 use crate::worker::{current_worker_of, worker_main, ParkLot, Worker};
 use parking_lot::Mutex;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -435,7 +435,7 @@ impl Builder {
             .tracing
             .or_else(|| env_flag("XKAAPI_TRACE"))
             .unwrap_or(false);
-        let tracks = Tracks::new(tun.offload, nworkers);
+        let tracks = Tracks::new(tun.offload);
         // One Perfetto lane per worker, then one per track thread, in the
         // exact order `RtInner::tele_refs` yields the bundles.
         let lanes: Vec<String> = (0..nworkers)
@@ -525,6 +525,26 @@ impl Job {
             band: NORMAL_BAND,
             submit_tick: 0,
         }
+    }
+
+    /// Run the job. When tracing, wrap it in a `JobBegin`/`JobEnd` span on
+    /// `tele` tagged `lane` (`DESIGN.md` §9) and record the submit→start
+    /// delta (stamped at submission) into the band's queueing histogram
+    /// and the body wall time into its service one.
+    pub(crate) fn execute(self, raw: &mut RawCtx, tele: &WorkerTelemetry, lane: u32) {
+        if !raw.rt.telemetry.enabled() {
+            return (self.run)(raw);
+        }
+        let band = self.band.min(PRIORITY_BANDS as u8 - 1);
+        let t0 = crate::telemetry::tick();
+        if self.submit_tick != 0 {
+            tele.submit_to_start[band as usize].record(t0.saturating_sub(self.submit_tick));
+        }
+        tele.emit(t0, EventKind::JobBegin, band, lane);
+        (self.run)(raw);
+        let t1 = crate::telemetry::tick();
+        tele.emit(t1, EventKind::JobEnd, band, lane);
+        tele.start_to_done[band as usize].record(t1.saturating_sub(t0));
     }
 }
 
@@ -683,7 +703,7 @@ impl Runtime {
             if self.inner.telemetry.enabled() {
                 job.submit_tick = crate::telemetry::tick();
             }
-            self.inner.tracks.io.submit_job(job);
+            self.inner.tracks.io.submit(IoWork::Job(job));
             return Ok(JoinHandle::new(state, &self.inner, Some(token)));
         }
         if let Some(widx) = current_worker_of(&self.inner) {

@@ -172,7 +172,7 @@ fn serve(
                 // never worth shipping to a thief. Retire it on the
                 // combiner instead (body skipped, countdowns drained) and
                 // keep the grab slot for live work.
-                execute_task_at(rt, me, &f, idx, task, /*stolen=*/ true);
+                execute_task_at(rt, me, &f, idx, task);
                 continue;
             }
             grabs.push(Grab::Task {
@@ -433,7 +433,7 @@ pub(crate) fn run_grab(rt: &Arc<RtInner>, me: usize, grab: Grab) {
             unsafe { job.execute(rt, me) };
         }
         Grab::Task { frame, idx, task } => {
-            execute_task_at(rt, me, &frame, idx, task, /*stolen=*/ true);
+            execute_task_at(rt, me, &frame, idx, task);
         }
         Grab::Run(f) => f(rt, me),
     }

@@ -2,9 +2,10 @@
 //! different execution properties sitting beside the CPU worker pool.
 //!
 //! The data-flow core computes *when* a task may run; a track decides
-//! *where and how*. [`Track::Cpu`](crate::attrs::Track) is today's worker
-//! pool (wrapped as [`CpuTrack`] for uniformity). [`OffloadEngine`] models
-//! an accelerator the way GPU frame-graph runtimes type their passes:
+//! *where and how*. [`Track::Cpu`](crate::attrs::Track) is the worker
+//! pool itself: [`dispatch`] returns `false` and the task runs inline.
+//! [`OffloadEngine`] models an accelerator the way GPU frame-graph
+//! runtimes type their passes:
 //! explicit H2D/D2H transfer steps synthesized per handle access (first
 //! device use uploads, written handles download at commit), a batched
 //! kernel-launch queue paying a configurable launch latency per batch,
@@ -31,7 +32,7 @@
 //! starts.
 
 use crate::access::HandleId;
-use crate::attrs::{Track, NORMAL_BAND, PRIORITY_BANDS};
+use crate::attrs::{Track, NORMAL_BAND};
 use crate::ctx::{complete_and_publish, run_claimed_body, RawCtx};
 use crate::frame::Frame;
 use crate::runtime::{Job, RtInner};
@@ -42,7 +43,7 @@ use parking_lot::{Condvar, Mutex};
 use std::collections::{HashSet, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock, Weak};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// How long engine threads sleep between shutdown-flag checks while idle.
@@ -81,39 +82,21 @@ impl Default for OffloadTunables {
 }
 
 // ---------------------------------------------------------------------------
-// The track abstraction
+// Routing
 
 /// A dataflow-ready task handed to a track engine. The engine owns the
 /// claim: it (or a completion job it emits) must eventually run or skip
 /// the body and publish the completion into the frame.
-pub struct ReadyTask {
-    pub(crate) frame: Arc<Frame>,
-    pub(crate) idx: usize,
-    pub(crate) task: Arc<Task>,
+pub(crate) struct ReadyTask {
+    frame: Arc<Frame>,
+    idx: usize,
+    task: Arc<Task>,
 }
 
-/// An execution engine tasks can be routed to by [`Track`] attribute.
-///
-/// `submit_ready` receives tasks whose dependencies are satisfied;
-/// `poll_completions` drains any pending completion records back into
-/// dataflow readiness and returns how many it drained; `quiesce` blocks
-/// until every submitted task's completion has retired. `quiesce` (and
-/// `poll_completions` for [`OffloadEngine`]) must be called from outside
-/// the worker pool: completions retire on CPU workers.
-pub trait TrackEngine: Send + Sync {
-    /// Short stable name (also the engine's Perfetto lane prefix).
-    fn name(&self) -> &'static str;
-    /// Accept a dependency-satisfied task for execution on this engine.
-    fn submit_ready(&self, t: ReadyTask);
-    /// Push pending completion records toward the pool; returns drained.
-    fn poll_completions(&self) -> usize;
-    /// Block until every submitted task has fully retired.
-    fn quiesce(&self);
-}
-
-/// Route a ready task to its engine. Returns `false` when the task should
-/// execute inline on the CPU (the default track, a track thread running
-/// nested work, or a runtime already shutting down).
+/// Route a ready task to its engine by its [`Track`] attribute. Returns
+/// `false` when the task should execute inline on the CPU (the default
+/// track, a track thread running nested work, or a runtime already
+/// shutting down).
 #[inline]
 pub(crate) fn dispatch(
     rt: &Arc<RtInner>,
@@ -140,51 +123,11 @@ pub(crate) fn dispatch(
         Track::Cpu => unreachable!(),
         Track::Offload => {
             WorkerStats::bump(&rt.workers[widx].stats.tasks_offloaded, 1);
-            rt.tracks.offload.submit_ready(ready);
+            rt.tracks.offload.submit(ready);
         }
-        Track::Io => {
-            rt.tracks.io.submit_ready(ready);
-        }
+        Track::Io => rt.tracks.io.submit(IoWork::Task(ready)),
     }
     true
-}
-
-// ---------------------------------------------------------------------------
-// CpuTrack: the worker pool, wearing the trait
-
-/// The existing CPU worker pool wrapped as a [`TrackEngine`]: submission
-/// executes inline (the pool's readiness hand-off *is* its queue), so
-/// completions are always already drained.
-pub struct CpuTrack {
-    rt: OnceLock<Weak<RtInner>>,
-}
-
-impl CpuTrack {
-    fn new() -> CpuTrack {
-        CpuTrack {
-            rt: OnceLock::new(),
-        }
-    }
-}
-
-impl TrackEngine for CpuTrack {
-    fn name(&self) -> &'static str {
-        "cpu"
-    }
-
-    fn submit_ready(&self, t: ReadyTask) {
-        let Some(rt) = self.rt.get().and_then(Weak::upgrade) else {
-            return;
-        };
-        let widx = crate::worker::current_worker_of(&rt).unwrap_or(0);
-        run_claimed_body(&rt, widx, &t.frame, t.idx, t.task);
-    }
-
-    fn poll_completions(&self) -> usize {
-        0
-    }
-
-    fn quiesce(&self) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -208,8 +151,6 @@ struct OffloadShared {
     completions: VecDeque<Completion>,
     /// Launched batches whose completions have not all retired.
     inflight: usize,
-    submitted: u64,
-    retired: u64,
     shutdown: bool,
 }
 
@@ -223,13 +164,12 @@ struct OffloadShared {
 /// CPU worker drains each, runs the task body, and publishes into the
 /// frame — the successor-release point. At most `max_inflight` batches
 /// may be launched-but-undrained; the device stalls beyond that.
-pub struct OffloadEngine {
+pub(crate) struct OffloadEngine {
     tun: OffloadTunables,
     state: Mutex<OffloadShared>,
     cv: Condvar,
-    pub(crate) tele: WorkerTelemetry,
-    pub(crate) stats: WorkerStats,
-    rt: OnceLock<Weak<RtInner>>,
+    tele: WorkerTelemetry,
+    stats: WorkerStats,
 }
 
 impl OffloadEngine {
@@ -241,15 +181,18 @@ impl OffloadEngine {
                 resident: HashSet::new(),
                 completions: VecDeque::new(),
                 inflight: 0,
-                submitted: 0,
-                retired: 0,
                 shutdown: false,
             }),
             cv: Condvar::new(),
             tele: WorkerTelemetry::new(),
             stats: WorkerStats::default(),
-            rt: OnceLock::new(),
         }
+    }
+
+    /// Accept a dependency-satisfied task for the device thread.
+    fn submit(&self, t: ReadyTask) {
+        self.state.lock().queue.push_back(t);
+        self.cv.notify_all();
     }
 
     /// One H2D (`dir == 0`) or D2H (`dir == 1`) transfer step: a traced
@@ -382,9 +325,9 @@ impl OffloadEngine {
     /// Inject every pending completion record as a root job. The drained
     /// job runs the task body on a CPU worker and publishes into the
     /// frame — *this* is where successors of an offloaded task become
-    /// ready. Returns how many records were flushed.
-    fn flush(&self, rt: &Arc<RtInner>) -> usize {
-        let mut n = 0;
+    /// ready.
+    fn flush(&self, rt: &Arc<RtInner>) {
+        let mut flushed = false;
         loop {
             let c = {
                 let mut st = self.state.lock();
@@ -392,20 +335,19 @@ impl OffloadEngine {
                     // Teardown: undrained completions are dropped. Their
                     // claimed tasks never publish — acceptable, nothing
                     // can be waiting on them once the pool is gone.
-                    return n;
+                    return;
                 }
                 st.completions.pop_front()
             };
             let Some(c) = c else { break };
             if !self.inject_completion(rt, c) {
-                return n;
+                return;
             }
-            n += 1;
+            flushed = true;
         }
-        if n > 0 {
+        if flushed {
             rt.signal_work();
         }
-        n
     }
 
     /// Returns `false` when teardown raced the injection (the record is
@@ -430,14 +372,13 @@ impl OffloadEngine {
             }
             let eng = &rt.tracks.offload;
             WorkerStats::bump(&eng.stats.offload_completions, 1);
-            let mut st = eng.state.lock();
-            st.retired += 1;
             if remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
                 // Last completion of the batch: free its in-flight slot.
+                let mut st = eng.state.lock();
                 st.inflight = st.inflight.saturating_sub(1);
+                drop(st);
+                eng.cv.notify_all();
             }
-            drop(st);
-            eng.cv.notify_all();
         });
         let mut job = Job::new(run);
         // Stamped at injection: the drainer's submit→start histogram for
@@ -461,43 +402,6 @@ impl OffloadEngine {
         let lane = rt.inject.lane_of_submitter();
         rt.inject.push(adm, lane, NORMAL_BAND, job);
         true
-    }
-
-    fn upgrade(&self) -> Option<Arc<RtInner>> {
-        self.rt.get().and_then(Weak::upgrade)
-    }
-}
-
-impl TrackEngine for OffloadEngine {
-    fn name(&self) -> &'static str {
-        "offload"
-    }
-
-    fn submit_ready(&self, t: ReadyTask) {
-        let mut st = self.state.lock();
-        st.submitted += 1;
-        st.queue.push_back(t);
-        drop(st);
-        self.cv.notify_all();
-    }
-
-    fn poll_completions(&self) -> usize {
-        match self.upgrade() {
-            Some(rt) => self.flush(&rt),
-            None => 0,
-        }
-    }
-
-    fn quiesce(&self) {
-        let mut st = self.state.lock();
-        while !(st.shutdown
-            || st.retired >= st.submitted
-                && st.queue.is_empty()
-                && st.completions.is_empty()
-                && st.inflight == 0)
-        {
-            self.cv.wait_for(&mut st, IDLE_WAIT);
-        }
     }
 }
 
@@ -529,7 +433,7 @@ fn offload_main(rt: Arc<RtInner>) {
 // ---------------------------------------------------------------------------
 // IoEngine: the dedicated blocking thread set
 
-enum IoWork {
+pub(crate) enum IoWork {
     /// A dataflow task routed by `Track::Io`.
     Task(ReadyTask),
     /// A root job routed by `JobBuilder::track(Io)` / `wait_external`.
@@ -538,8 +442,6 @@ enum IoWork {
 
 struct IoShared {
     queue: VecDeque<IoWork>,
-    submitted: u64,
-    retired: u64,
     shutdown: bool,
 }
 
@@ -547,71 +449,35 @@ struct IoShared {
 /// that runs bodies which block on external events, so a blocked body
 /// never occupies a CPU worker. Bodies run under a detached context —
 /// children they spawn are ordinary stealable CPU tasks.
-pub struct IoEngine {
+pub(crate) struct IoEngine {
     nthreads: usize,
-    nworkers: usize,
     state: Mutex<IoShared>,
     cv: Condvar,
-    pub(crate) tele: Box<[WorkerTelemetry]>,
-    pub(crate) stats: WorkerStats,
-    rt: OnceLock<Weak<RtInner>>,
+    tele: Box<[WorkerTelemetry]>,
+    stats: WorkerStats,
 }
 
 impl IoEngine {
-    fn new(nthreads: usize, nworkers: usize) -> IoEngine {
+    fn new(nthreads: usize) -> IoEngine {
         let nthreads = nthreads.max(1);
         IoEngine {
             nthreads,
-            nworkers: nworkers.max(1),
             state: Mutex::new(IoShared {
                 queue: VecDeque::new(),
-                submitted: 0,
-                retired: 0,
                 shutdown: false,
             }),
             cv: Condvar::new(),
             tele: (0..nthreads).map(|_| WorkerTelemetry::new()).collect(),
             stats: WorkerStats::default(),
-            rt: OnceLock::new(),
         }
     }
 
-    fn enqueue(&self, w: IoWork) {
-        let mut st = self.state.lock();
-        st.submitted += 1;
-        st.queue.push_back(w);
-        drop(st);
+    /// Queue blocking work for the io threads. Unlike lane submissions
+    /// this queue is unbounded: blocking jobs must not consume admission
+    /// slots sized for CPU throughput.
+    pub(crate) fn submit(&self, w: IoWork) {
+        self.state.lock().queue.push_back(w);
         self.cv.notify_all();
-    }
-
-    /// Route a root job (`JobBuilder::wait_external`) to the io threads.
-    /// Unlike lane submissions this queue is unbounded: blocking jobs
-    /// must not consume admission slots sized for CPU throughput.
-    pub(crate) fn submit_job(&self, job: Job) {
-        self.enqueue(IoWork::Job(job));
-    }
-}
-
-impl TrackEngine for IoEngine {
-    fn name(&self) -> &'static str {
-        "io"
-    }
-
-    fn submit_ready(&self, t: ReadyTask) {
-        self.enqueue(IoWork::Task(t));
-    }
-
-    fn poll_completions(&self) -> usize {
-        // Io completions publish directly from the io thread; there is
-        // no deferred stream to drain.
-        0
-    }
-
-    fn quiesce(&self) {
-        let mut st = self.state.lock();
-        while st.retired < st.submitted && !st.shutdown {
-            self.cv.wait_for(&mut st, IDLE_WAIT);
-        }
     }
 }
 
@@ -621,7 +487,7 @@ fn io_main(rt: Arc<RtInner>, k: usize) {
     telemetry::set_track_lane(&eng.tele[k]);
     // Borrowed worker identity for frame registration and NUMA lookups;
     // spread across the pool so detached frames don't pile on worker 0.
-    let widx = k % eng.nworkers.min(rt.num_workers()).max(1);
+    let widx = k % rt.num_workers();
     loop {
         let w = {
             let mut st = eng.state.lock();
@@ -649,24 +515,7 @@ fn io_main(rt: Arc<RtInner>, k: usize) {
             IoWork::Task(t) => {
                 run_claimed_body(&rt, widx, &t.frame, t.idx, t.task);
             }
-            IoWork::Job(job) => {
-                let mut raw = RawCtx::new(&rt, widx);
-                if tracing {
-                    let band = job.band.min(PRIORITY_BANDS as u8 - 1);
-                    let t0 = telemetry::tick();
-                    if job.submit_tick != 0 {
-                        tele.submit_to_start[band as usize]
-                            .record(t0.saturating_sub(job.submit_tick));
-                    }
-                    tele.emit(t0, EventKind::JobBegin, band, k as u32);
-                    (job.run)(&mut raw);
-                    let t1 = telemetry::tick();
-                    tele.emit(t1, EventKind::JobEnd, band, k as u32);
-                    tele.start_to_done[band as usize].record(t1.saturating_sub(t0));
-                } else {
-                    (job.run)(&mut raw);
-                }
-            }
+            IoWork::Job(job) => job.execute(&mut RawCtx::new(&rt, widx), tele, k as u32),
         }
         if tracing {
             tele.emit(
@@ -677,10 +526,6 @@ fn io_main(rt: Arc<RtInner>, k: usize) {
             );
         }
         WorkerStats::bump(&eng.stats.tasks_io, 1);
-        let mut st = eng.state.lock();
-        st.retired += 1;
-        drop(st);
-        eng.cv.notify_all();
     }
 }
 
@@ -689,18 +534,16 @@ fn io_main(rt: Arc<RtInner>, k: usize) {
 
 /// All track engines of one runtime plus their thread handles.
 pub(crate) struct Tracks {
-    pub(crate) cpu: CpuTrack,
     pub(crate) offload: OffloadEngine,
     pub(crate) io: IoEngine,
     threads: Mutex<Vec<std::thread::JoinHandle<()>>>,
 }
 
 impl Tracks {
-    pub(crate) fn new(tun: OffloadTunables, nworkers: usize) -> Tracks {
+    pub(crate) fn new(tun: OffloadTunables) -> Tracks {
         Tracks {
-            cpu: CpuTrack::new(),
             offload: OffloadEngine::new(tun),
-            io: IoEngine::new(tun.io_threads, nworkers),
+            io: IoEngine::new(tun.io_threads),
             threads: Mutex::new(Vec::new()),
         }
     }
@@ -727,12 +570,9 @@ impl Tracks {
         [&self.offload.stats, &self.io.stats].into_iter()
     }
 
-    /// Attach the runtime and spawn the engine threads. Called once,
-    /// right after `Arc::new(RtInner)`.
+    /// Spawn the engine threads. Called once, right after
+    /// `Arc::new(RtInner)`.
     pub(crate) fn start(&self, inner: &Arc<RtInner>) {
-        let _ = self.cpu.rt.set(Arc::downgrade(inner));
-        let _ = self.offload.rt.set(Arc::downgrade(inner));
-        let _ = self.io.rt.set(Arc::downgrade(inner));
         let mut threads = self.threads.lock();
         {
             let rt = Arc::clone(inner);
@@ -790,19 +630,11 @@ mod tests {
 
     #[test]
     fn lane_names_parallel_tele_refs() {
-        let tracks = Tracks::new(OffloadTunables::default(), 4);
+        let tracks = Tracks::new(OffloadTunables::default());
         let names = tracks.lane_names();
         assert_eq!(names[0], "offload");
         assert_eq!(names[1], "io-0");
         assert_eq!(names[2], "io-1");
         assert_eq!(names.len(), tracks.tele_refs().count());
-    }
-
-    #[test]
-    fn engine_names() {
-        let tracks = Tracks::new(OffloadTunables::default(), 1);
-        assert_eq!(tracks.cpu.name(), "cpu");
-        assert_eq!(tracks.offload.name(), "offload");
-        assert_eq!(tracks.io.name(), "io");
     }
 }

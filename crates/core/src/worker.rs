@@ -237,25 +237,13 @@ pub(crate) fn try_drain_inject(rt: &Arc<RtInner>, idx: usize) -> bool {
         WorkerStats::bump(&my.stats.inject_remote_lane, 1);
     }
     my.reset_fail_streak();
-    let mut raw = RawCtx::new(rt, idx);
     if rt.telemetry.enabled() {
-        // Traced job span (`DESIGN.md` §9): drain instant + B/E pair, the
-        // submit→start delta (stamped at submission) into the band's
-        // queueing histogram and the body wall time into the service one.
+        // Drain instant ahead of the traced job span (`DESIGN.md` §9).
         let band = job.band.min(crate::attrs::PRIORITY_BANDS as u8 - 1);
-        let t0 = telemetry::tick();
-        my.tele.emit(t0, EventKind::InjectDrain, band, lane as u32);
-        if job.submit_tick != 0 {
-            my.tele.submit_to_start[band as usize].record(t0.saturating_sub(job.submit_tick));
-        }
-        my.tele.emit(t0, EventKind::JobBegin, band, lane as u32);
-        (job.run)(&mut raw);
-        let t1 = telemetry::tick();
-        my.tele.emit(t1, EventKind::JobEnd, band, lane as u32);
-        my.tele.start_to_done[band as usize].record(t1.saturating_sub(t0));
-    } else {
-        (job.run)(&mut raw);
+        my.tele
+            .emit(telemetry::tick(), EventKind::InjectDrain, band, lane as u32);
     }
+    job.execute(&mut RawCtx::new(rt, idx), &my.tele, lane as u32);
     true
 }
 

@@ -30,7 +30,6 @@ pub use xkaapi_core::{
     Access, AccessMode, Affinity, Builder, CancelToken, Ctx, DataflowEngine, DistanceMatrix,
     HandleId, JobBuilder, Partitioned, Priority, PromotionPolicy, QueueKind, RecCtx, RecordStats,
     RecordedDag, Reduction, Region, RenamePolicy, ReplayTrace, Runtime, Shared, StatsSnapshot,
-    StealPolicy, SubmitError, TaskAttrs, TaskBuilder, Topology, Track, TrackEngine, Tunables,
-    VictimChoice,
+    StealPolicy, SubmitError, TaskAttrs, TaskBuilder, Topology, Track, Tunables, VictimChoice,
 };
 pub use xkaapi_core::{JoinHandle, OffloadTunables};

@@ -256,26 +256,35 @@ fn offload_panic_poisons_cone_across_boundary() {
     assert_eq!(clean, wavefront(&rt, 4, Track::Cpu));
 }
 
-/// A cancelled token skips offloaded bodies exactly like CPU bodies: the
-/// scope drains (no hang waiting on engine completions), nothing runs.
+/// A cancelled token skips offloaded and io bodies exactly like CPU
+/// bodies: the scope drains (no hang waiting on engine completions),
+/// nothing runs, and the body is skipped before the engine ever sees the
+/// task (neither track counter moves).
 #[test]
 fn cancellation_skips_offloaded_bodies() {
-    let rt = build_rt(1, 2);
-    let tok = CancelToken::new();
-    tok.cancel();
-    let h = Shared::new(0u64);
-    rt.scope(|ctx| {
-        for _ in 0..8 {
-            let hw = h.clone();
-            ctx.task()
-                .access(h.exclusive())
-                .track(Track::Offload)
-                .cancel_token(&tok)
-                .spawn(move |t| *t.write(&hw) += 1);
-        }
-    });
-    assert_eq!(*h.get(), 0, "cancelled bodies must not run");
-    let s = rt.stats();
-    assert_eq!(s.tasks_cancelled, 8);
-    assert_eq!(rt.scope(|c| c.join(|_| 2, |_| 3)), (2, 3));
+    for track in [Track::Offload, Track::Io] {
+        let rt = build_rt(1, 2);
+        let tok = CancelToken::new();
+        tok.cancel();
+        let h = Shared::new(0u64);
+        rt.scope(|ctx| {
+            for _ in 0..8 {
+                let hw = h.clone();
+                ctx.task()
+                    .access(h.exclusive())
+                    .track(track)
+                    .cancel_token(&tok)
+                    .spawn(move |t| *t.write(&hw) += 1);
+            }
+        });
+        assert_eq!(*h.get(), 0, "[{track:?}] cancelled bodies must not run");
+        let s = rt.stats();
+        assert_eq!(s.tasks_cancelled, 8, "[{track:?}]");
+        assert_eq!(
+            s.tasks_offloaded, 0,
+            "[{track:?}] no task reached the engine"
+        );
+        assert_eq!(s.tasks_io, 0, "[{track:?}] no task reached the engine");
+        assert_eq!(rt.scope(|c| c.join(|_| 2, |_| 3)), (2, 3));
+    }
 }
