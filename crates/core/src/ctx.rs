@@ -58,13 +58,29 @@ pub struct RawCtx<'rt> {
 
 impl<'rt> RawCtx<'rt> {
     pub(crate) fn new(rt: &'rt Arc<RtInner>, widx: usize) -> RawCtx<'rt> {
+        RawCtx::with_mode(rt, widx, crate::telemetry::on_track_thread())
+    }
+
+    /// Context for a site that only ever runs on pool worker `widx`'s own
+    /// thread: a fork-join branch, run inline by its owner or by a thief
+    /// that stole it. Skips [`RawCtx::new`]'s thread-local probe: a
+    /// detached context never runs a fast-lane branch, since its joins run
+    /// sequentially and it never steals.
+    #[inline]
+    pub(crate) fn on_worker(rt: &'rt Arc<RtInner>, widx: usize) -> RawCtx<'rt> {
+        debug_assert_eq!(crate::worker::current_worker_of(rt), Some(widx));
+        RawCtx::with_mode(rt, widx, false)
+    }
+
+    #[inline]
+    fn with_mode(rt: &'rt Arc<RtInner>, widx: usize, detached: bool) -> RawCtx<'rt> {
         RawCtx {
             rt,
             widx,
             frame: None,
             cur: None,
             cancel: None,
-            detached: crate::telemetry::on_track_thread(),
+            detached,
         }
     }
 
@@ -720,6 +736,26 @@ impl<'scope> Ctx<'scope> {
             result: std::cell::UnsafeCell<Option<R>>,
             panic: std::cell::UnsafeCell<Option<Box<dyn std::any::Any + Send>>>,
         }
+        /// Run a forked branch on worker `widx` in a frame of its own: the
+        /// body, then the implicit sync of its spawns; the first panic wins.
+        /// Shared by the owner's inline run and a thief's [`exec_job`].
+        #[inline(always)]
+        fn run_branch<F, R>(rt: &Arc<RtInner>, widx: usize, f: F) -> std::thread::Result<R>
+        where
+            F: FnOnce(&mut RawCtx) -> R,
+        {
+            let mut raw = RawCtx::on_worker(rt, widx);
+            let run = catch_unwind(AssertUnwindSafe(|| {
+                #[cfg(feature = "fault-injection")]
+                crate::fault::on_task_execute(rt);
+                f(&mut raw)
+            }));
+            let fin = catch_unwind(AssertUnwindSafe(|| raw.finish()));
+            match (run, fin) {
+                (Ok(v), Ok(())) => Ok(v),
+                (Err(p), _) | (_, Err(p)) => Err(p),
+            }
+        }
         unsafe fn exec_job<F, R>(data: *mut (), rt: &Arc<RtInner>, widx: usize)
         where
             F: FnOnce(&mut RawCtx) -> R + Send,
@@ -727,21 +763,14 @@ impl<'scope> Ctx<'scope> {
         {
             let job = unsafe { &*(data as *const StackJob<F, R>) };
             let f = unsafe { (*job.f.get()).take().expect("fast job run twice") };
-            let mut raw = RawCtx::new(rt, widx);
-            let run = catch_unwind(AssertUnwindSafe(|| {
-                #[cfg(feature = "fault-injection")]
-                crate::fault::on_task_execute(rt);
-                f(&mut raw)
-            }));
-            let fin = catch_unwind(AssertUnwindSafe(|| raw.finish()));
             // Publishing the terminal state is the LAST access to the record.
-            match (run, fin) {
-                (Ok(v), Ok(())) => {
+            match run_branch(rt, widx, f) {
+                Ok(v) => {
                     unsafe { *job.result.get() = Some(v) };
                     job.state
                         .store(J_DONE, std::sync::atomic::Ordering::Release);
                 }
-                (Err(p), _) | (_, Err(p)) => {
+                Err(p) => {
                     unsafe { *job.panic.get() = Some(p) };
                     job.state
                         .store(J_PANIC, std::sync::atomic::Ordering::Release);
@@ -788,8 +817,10 @@ impl<'scope> Ctx<'scope> {
                 crate::queue::WorkItem::fast_banded(jref, attrs.band()),
             )
             .is_ok();
+        // This non-detached join runs on worker `widx`'s own thread, the
+        // only writer of its join counters: no locked add on the lane.
         if pushed {
-            WorkerStats::bump(&rt.workers[widx].stats.tasks_spawned, 1);
+            WorkerStats::bump_owned(&rt.workers[widx].stats.joins_forked);
             if rt.num_workers() > 1 {
                 rt.signal_work();
             }
@@ -798,41 +829,39 @@ impl<'scope> Ctx<'scope> {
         // points into this stack frame).
         let ra = catch_unwind(AssertUnwindSafe(|| fa(self)));
         let rt = self.raw().rt; // re-borrowed: `fa` needed `self` mutably
-        if pushed {
-            if let Some(mine) = rt.queue.take(widx, jref.data) {
-                WorkerStats::bump(&rt.workers[widx].stats.tasks_executed_own, 1);
-                match mine.into_grab() {
-                    crate::steal::Grab::Fast(job) => unsafe { job.execute(rt, widx) },
-                    _ => unreachable!("take returned a non-fork-join item"),
-                }
-            } else {
-                // Taken by another worker (or consumed while helping): work
-                // as a thief until it completes.
-                help_until(rt, widx, None, || {
-                    job.state.load(std::sync::atomic::Ordering::Acquire) != J_PENDING
-                });
+
+        // Owner-inline reclaim: a job the lane refused (full) or that the
+        // owner takes back was never seen by another thread, so `fb` runs
+        // right here — a direct, monomorphized call with no record round
+        // trip. Only a stolen job goes through `exec_job`.
+        let rb = if !pushed || rt.queue.take(widx, jref.data).is_some() {
+            if pushed {
+                WorkerStats::bump_owned(&rt.workers[widx].stats.joins_reclaimed);
             }
+            // SAFETY: the job is unpublished or retracted, so this thread
+            // is the record's only accessor.
+            let fb = unsafe { (*job.f.get()).take() }.expect("fast job run twice");
+            run_branch(rt, widx, fb)
         } else {
-            // Queue refused the job (lane full): undeferred execution.
-            unsafe { jref.execute(rt, widx) };
-        }
-        let ra = match ra {
-            Ok(v) => v,
-            Err(p) => resume_unwind(p),
+            // Taken by another worker (or consumed while helping): work as
+            // a thief until it completes.
+            help_until(rt, widx, None, || {
+                job.state.load(std::sync::atomic::Ordering::Acquire) != J_PENDING
+            });
+            // SAFETY: the thief's terminal Release store was its last
+            // access to the record; the Acquire load orders these reads
+            // after its writes.
+            match job.state.load(std::sync::atomic::Ordering::Acquire) {
+                J_DONE => Ok(unsafe { (*job.result.get()).take() }
+                    .expect("join: forked branch did not produce a result")),
+                J_PANIC => Err(unsafe { (*job.panic.get()).take().unwrap() }),
+                _ => unreachable!("join finished with a pending job"),
+            }
         };
-        match job.state.load(std::sync::atomic::Ordering::Acquire) {
-            J_DONE => {
-                let rb = unsafe { (*job.result.get()).take() };
-                (
-                    ra,
-                    rb.expect("join: forked branch did not produce a result"),
-                )
-            }
-            J_PANIC => {
-                let p = unsafe { (*job.panic.get()).take().unwrap() };
-                resume_unwind(p)
-            }
-            _ => unreachable!("join finished with a pending job"),
+        // A panic in `fa` takes precedence over one in `fb`.
+        match (ra, rb) {
+            (Ok(a), Ok(b)) => (a, b),
+            (Err(p), _) | (_, Err(p)) => resume_unwind(p),
         }
     }
 

@@ -9,7 +9,8 @@
 //! steal requests from this lane before scanning data-flow frames.
 //!
 //! Soundness of the stack storage: a join never returns before its job
-//! reached a terminal state, and a terminal state is the executor's last
+//! was taken back by its owner (whose thread then runs the branch inline)
+//! or reached a terminal state, and a terminal state is a thief's last
 //! access — so the record outlives every access.
 //!
 //! [`Ctx::join`]: crate::ctx::Ctx::join

@@ -318,15 +318,24 @@ impl<'scope> Ctx<'scope> {
         mut attrs: TaskAttrs,
         body: &(dyn Fn(Range<usize>, usize) + Sync),
     ) {
-        let (rt, widx) = {
+        let (rt, widx, detached) = {
             let raw: &RawCtx = self.as_raw();
             // Cancellation is inherited scope-wide: a loop inside a
             // cancellable cone is cancellable with it.
             if attrs.cancel.is_none() {
                 attrs.cancel = raw.cancel.clone();
             }
-            (raw.rt, raw.widx)
+            (raw.rt, raw.widx, raw.detached)
         };
+        if detached {
+            // A track thread must not borrow worker `widx`'s thief identity
+            // to help the loop along: it runs the loop sequentially, as it
+            // runs its fork-joins (`RawCtx::detached`).
+            if !range.is_empty() && !attrs.is_cancelled() {
+                body(range, widx);
+            }
+            return;
+        }
         foreach_run(rt, widx, range, grain, attrs, body);
     }
 

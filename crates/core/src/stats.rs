@@ -4,24 +4,45 @@
 //! (e.g. "aggregation served several thieves in one combine", "the frame was
 //! promoted to graph mode"), and the figure harnesses report them next to
 //! timings, mirroring the paper's discussion of steal-request counts.
+//!
+//! Most counters take a relaxed `fetch_add` ([`WorkerStats::bump`]):
+//! worker threads, track threads and the inject drain may all count into
+//! the same worker's record. The fork-join fast lane is the exception
+//! (`DESIGN.md` §6): a non-detached join only ever runs on its worker's own
+//! thread, so its fork and owner-reclaim counts live in two separate
+//! single-writer fields bumped with a relaxed load plus store
+//! ([`WorkerStats::bump_owned`], no locked add) and folded into
+//! `tasks_spawned` / `tasks_executed_own` when a snapshot is taken.
 
 use crossbeam_utils::CachePadded;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 macro_rules! counters {
     ($($(#[$doc:meta])* $name:ident),+ $(,)?) => {
-        /// Per-worker counters (cache-padded, relaxed increments).
+        /// Per-worker counters (cache-padded; relaxed `fetch_add`s, plus
+        /// the owner-only join counters).
         #[derive(Default)]
         pub(crate) struct WorkerStats {
             $($(#[$doc])* pub(crate) $name: CachePadded<AtomicU64>,)+
+            /// Fast-lane joins forked, reported inside `tasks_spawned`.
+            /// Single writer ([`WorkerStats::bump_owned`]); not padded, as
+            /// the two join counters have the same one writer.
+            pub(crate) joins_forked: AtomicU64,
+            /// Forked branches the owner took back and ran inline, reported
+            /// inside `tasks_executed_own`. Single writer.
+            pub(crate) joins_reclaimed: AtomicU64,
         }
 
         impl WorkerStats {
             fn add_into(&self, snap: &mut StatsSnapshot) {
                 $(snap.$name += self.$name.load(Ordering::Relaxed);)+
+                snap.tasks_spawned += self.joins_forked.load(Ordering::Relaxed);
+                snap.tasks_executed_own += self.joins_reclaimed.load(Ordering::Relaxed);
             }
             fn reset(&self) {
                 $(self.$name.store(0, Ordering::Relaxed);)+
+                self.joins_forked.store(0, Ordering::Relaxed);
+                self.joins_reclaimed.store(0, Ordering::Relaxed);
             }
         }
 
@@ -47,9 +68,12 @@ macro_rules! counters {
 }
 
 counters! {
-    /// Tasks pushed into frames.
+    /// Tasks pushed into frames, plus branches forked by `Ctx::join` onto
+    /// the fast lane (a join whose lane was full runs its branch inline and
+    /// is not counted).
     tasks_spawned,
-    /// Tasks executed through the owner's FIFO fast path.
+    /// Tasks executed by their owner: frame children claimed on the FIFO
+    /// path, plus forked branches the owner reclaimed from its lane.
     tasks_executed_own,
     /// Tasks executed after being claimed by a steal.
     tasks_executed_stolen,
@@ -164,6 +188,15 @@ impl WorkerStats {
     #[inline]
     pub(crate) fn bump(counter: &CachePadded<AtomicU64>, n: u64) {
         counter.fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Increment a single-writer counter (`joins_forked`,
+    /// `joins_reclaimed`) with a relaxed load plus store. Only the owning
+    /// worker thread may call this on its own record; a `reset_stats`
+    /// racing a running join may be overwritten.
+    #[inline]
+    pub(crate) fn bump_owned(counter: &AtomicU64) {
+        counter.store(counter.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
     }
 }
 

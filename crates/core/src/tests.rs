@@ -904,3 +904,129 @@ fn engine_runs_dataflow_through_central_queue() {
         "work actually flowed through the central queue"
     );
 }
+
+fn fib_join(ctx: &mut Ctx<'_>, n: u64) -> u64 {
+    if n < 2 {
+        return n;
+    }
+    let (a, b) = ctx.join(|c| fib_join(c, n - 1), |c| fib_join(c, n - 2));
+    a + b
+}
+
+/// Join counters are exact: fib(20) forks F(21) - 1 = 10945 branches, and
+/// every one is run exactly once, by its owner or by a thief. Holds at any
+/// worker count, whatever the steal schedule. The first run leaves counts
+/// behind, so the second also checks that `reset_stats` clears them.
+#[test]
+fn join_counters_are_exact() {
+    for workers in [1, 2, 4] {
+        let rt = rt(workers);
+        assert_eq!(rt.scope(|ctx| fib_join(ctx, 20)), 6765);
+        rt.reset_stats();
+        assert_eq!(rt.scope(|ctx| fib_join(ctx, 20)), 6765);
+        let s = rt.stats();
+        assert_eq!(s.tasks_spawned, 10945, "{workers} workers");
+        assert_eq!(
+            s.tasks_executed_own + s.tasks_executed_stolen,
+            10945,
+            "{workers} workers"
+        );
+    }
+}
+
+/// At one worker nobody can steal, so every forked branch is reclaimed by
+/// its owner and run inline: these tests pin the inline path's semantics.
+#[test]
+fn inline_reclaimed_branch_panic_propagates() {
+    let rt = rt(1);
+    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        rt.scope(|ctx| ctx.join(|_| 1, |_| -> i32 { panic!("fb boom") }))
+    }));
+    let p = r.expect_err("a panic in fb must leave join");
+    assert_eq!(p.downcast_ref::<&str>(), Some(&"fb boom"));
+    assert_eq!(rt.stats().tasks_executed_stolen, 0);
+    assert_eq!(
+        rt.scope(|ctx| ctx.join(|_| 2, |_| 3)),
+        (2, 3),
+        "pool survives"
+    );
+}
+
+#[test]
+fn inline_reclaimed_branch_loses_to_fa_panic() {
+    let rt = rt(1);
+    let fb_ran = AtomicUsize::new(0);
+    let r = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        rt.scope(|ctx| {
+            ctx.join(
+                |_| -> i32 { panic!("fa boom") },
+                |_| -> i32 {
+                    fb_ran.fetch_add(1, Ordering::Relaxed);
+                    panic!("fb boom")
+                },
+            )
+        })
+    }));
+    let p = r.expect_err("both branches panicked");
+    assert_eq!(
+        p.downcast_ref::<&str>(),
+        Some(&"fa boom"),
+        "fa's panic wins"
+    );
+    assert_eq!(
+        fb_ran.load(Ordering::Relaxed),
+        1,
+        "fb still ran to retire the job"
+    );
+}
+
+#[test]
+fn inline_reclaimed_branch_syncs_its_dataflow_spawns() {
+    let rt = rt(1);
+    let h = Shared::new(0u64);
+    let (a, seen) = rt.scope(|ctx| {
+        ctx.join(
+            |_| 7,
+            |c| {
+                let hw = h.clone();
+                c.spawn([h.write()], move |t| *t.write(&hw) = 42);
+                let hr = h.clone();
+                // Nothing after the spawn waits for it inside `fb`: only the
+                // branch's implicit sync makes the write visible at `join`.
+                hr
+            },
+        )
+    });
+    assert_eq!(a, 7);
+    assert_eq!(*seen.get(), 42, "fb's spawn completed before join returned");
+    assert_eq!(rt.stats().tasks_executed_stolen, 0);
+}
+
+/// A blocking (io-track) body runs under a detached context: its joins
+/// and loops run sequentially on the io thread and never touch a worker's
+/// fast lane or thief identity — no loop chunk migrates to a CPU worker.
+#[test]
+fn detached_body_runs_joins_and_loops_inline() {
+    let rt = rt(2);
+    let out = Shared::new((0u64, 0usize, 0usize));
+    rt.scope(|ctx| {
+        let ow = out.clone();
+        ctx.task()
+            .access(out.write())
+            .wait_external()
+            .spawn(move |t| {
+                let f = fib_join(t, 12);
+                let io_thread = std::thread::current().id();
+                let (ran, foreign) = (AtomicUsize::new(0), AtomicUsize::new(0));
+                t.foreach_chunks(0..64, Some(1), &|r| {
+                    ran.fetch_add(r.len(), Ordering::Relaxed);
+                    if std::thread::current().id() != io_thread {
+                        foreign.fetch_add(1, Ordering::Relaxed);
+                    }
+                    std::thread::sleep(std::time::Duration::from_micros(100));
+                });
+                *t.write(&ow) = (f, ran.into_inner(), foreign.into_inner());
+            });
+    });
+    assert_eq!(*out.get(), (144, 64, 0));
+}
